@@ -13,7 +13,7 @@
 #include "bench_common.hpp"
 #include "data/datasets.hpp"
 #include "models/mae.hpp"
-#include "train/checkpoint.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "train/linear_probe.hpp"
 #include "train/pretrain.hpp"
 
@@ -101,7 +101,7 @@ inline std::vector<PretrainedProxy> pretrained_proxies(bool verbose = true) {
       // A cached checkpoint from an older format (or a corrupted file)
       // is rejected by the loader; fall through to retraining then.
       try {
-        train::load_checkpoint(*p.mae, ck);
+        ckpt::load_checkpoint(*p.mae, ck);
         loaded = true;
         if (verbose) std::printf("[%s: loaded cached checkpoint]\n",
                                  cfg.name.c_str());
@@ -128,7 +128,7 @@ inline std::vector<PretrainedProxy> pretrained_proxies(bool verbose = true) {
       auto result = train::pretrain_mae(*p.mae, corpus, pc);
       p.epoch_losses = result.epoch_losses;
       p.step_losses = result.step_losses;
-      train::save_checkpoint(*p.mae, ck);
+      ckpt::save_checkpoint(*p.mae, ck);
       save_losses(cfg.name, result);
     }
     out.push_back(std::move(p));

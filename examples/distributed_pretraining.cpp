@@ -120,7 +120,7 @@ int main() {
       // single-file legacy format downstream tools read).
       fsdp.gather_full_parameters();
       if (c.rank() == 0) {
-        train::save_checkpoint(mae, "/tmp/geofm_distributed_example.bin");
+        ckpt::save_checkpoint(mae, "/tmp/geofm_distributed_example.bin");
       }
       c.barrier();
     });

@@ -19,6 +19,9 @@ done
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier-1: default build + ctest =="
+# ctest runs every gtest (gtest_discover_tests) — the fault matrix,
+# postmortem/telemetry, serving and overload suites included — plus the
+# bench_e2e smoke tests, so no leg below re-runs a suite in this build.
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure
@@ -39,48 +42,13 @@ echo "== trace-span budget gate =="
 # scripts/span_budgets.txt).
 ./build/bench/bench_span_budget_gate scripts/span_budgets.txt
 
-echo "== fault matrix: every FaultPlan kind x sharding strategy =="
-# Each deterministic fault kind (kill, stall, slow-rank, corruption, and
-# the storage-path injections) under both DDP (NO_SHARD) and FULL_SHARD,
-# plus the shrink-and-continue and grow-back recovery scenarios and the
-# retrying uploader, as their own pass so a fault-layer regression is
-# named here rather than buried in the full suite. FaultTrace is the
-# JSON record/replay contract for realized fault schedules.
-./build/tests/geofm_tests \
-    --gtest_filter='*ElasticFaultMatrix*:ElasticRecovery.*:*ElasticGrowBack*:Fault.*:FaultTrace.*:Uploader.*:StorageFaults.*:Chaos*'
-
-echo "== observability: postmortem bundles + sampler + health report =="
-# Flight-recorder contract over the elastic fault matrix: every
-# fault-injected recovery (kill, watchdog-diagnosed stall, slow rank past
-# the deadline) must leave exactly one postmortem bundle whose
-# kind/diagnosis/suspects match the abort path's, written atomically (the
-# torn-write seam proves no partial bundle can surface), and replayed
-# fault plans must reproduce the bundle structure. Telemetry.* covers the
-# background sampler's JSONL series; HealthReport.* the end-of-run
-# aggregation and Prometheus exposition.
-./build/tests/geofm_tests \
-    --gtest_filter='Postmortem.*:Telemetry.*:HealthReport.*'
+echo "== observability overhead =="
 # Overhead anchor: BENCH_obs.json records trace-scope, flight-capture,
 # and sampler cost (the budget gate above enforces telemetry.sample).
 GEOFM_BENCH_QUICK=1 GEOFM_BENCH_CACHE=/tmp/geofm_ci_bench_cache \
     ./build/bench/bench_obs_overhead
 
-echo "== serving tier: hot-reload, batching, cache, heads =="
-# The frozen-encoder embedding service: batcher coalescing + bitwise
-# batched-vs-single parity, cache LRU/epoch semantics, per-tenant head
-# hot-swap, reload robustness under storage faults (torn write, unreadable
-# shard -> keep serving old weights), and the E2E hot-swap-under-load
-# contract (no mixed weights, post-swap embeddings match a direct
-# forward, cache hits skip the encoder). The full suite already ran in
-# ctest above; this pass names a serving regression directly.
-./build/tests/geofm_tests --gtest_filter='Serve*'
-# Overload phase: load beyond capacity against a bounded admission queue
-# must serve some requests with bounded latency, shed the excess with
-# typed errors, and resolve every future (no hangs) — the suite asserts
-# all three. Failover/breaker/cache-only degradation runs in the same
-# filter (ServeFailover.*, ServeBreaker.*, ServeShutdown.*).
-./build/tests/geofm_tests \
-    --gtest_filter='ServeOverload.*:ServeShutdown.*:ServeFailover.*:ServeBreaker.*'
+echo "== serving tier: latency/throughput anchor =="
 # Latency/throughput anchor: closed-loop sweep over (max_batch,
 # max_delay_us), p50/p99 per config, plus the overload phase's shed rate
 # and admitted-request p50/p99, into BENCH_serve.json.

@@ -27,29 +27,6 @@ enum FaultCode : int {
   kLoaderPoison = 10,
 };
 
-bool is_comm(int c) { return c <= kCommSlowRank; }
-bool is_storage(int c) { return c >= kIoTornWrite && c <= kIoTornUpload; }
-bool is_loader(int c) { return c >= kLoaderKill; }
-
-const char* kind_label(comm::FaultEvent::Kind kind) {
-  using Kind = comm::FaultEvent::Kind;
-  switch (kind) {
-    case Kind::kKill: return "kill";
-    case Kind::kStall: return "stall";
-    case Kind::kSlowRank: return "slow_rank";
-    case Kind::kCorrupt: return "corrupt";
-    case Kind::kCallback: return "callback";
-    case Kind::kIoFail: return "io_fail";
-    case Kind::kIoTorn: return "io_torn";
-    case Kind::kIoSlow: return "io_slow";
-    case Kind::kIoUnreadable: return "io_unreadable";
-    case Kind::kLoaderWorkerKill: return "loader_worker_kill";
-    case Kind::kLoaderSlowRender: return "loader_slow_render";
-    case Kind::kLoaderPoison: return "loader_poison";
-  }
-  return "?";
-}
-
 }  // namespace
 
 std::string Campaign::describe() const {
@@ -57,10 +34,8 @@ std::string Campaign::describe() const {
   out << "campaign seed=" << seed << " events=" << plan.events.size()
       << " overload_bursts=" << overload_steps.size() << "\n";
   for (const auto& e : plan.events) {
-    out << "  " << kind_label(e.kind) << " rank=" << e.rank;
-    if (e.step >= 0) out << " step=" << e.step;
-    if (e.after_posts >= 0) out << " after_posts=" << e.after_posts;
-    if (e.after_io >= 0) out << " after_io=" << e.after_io;
+    out << "  " << comm::kind_name(e.kind) << " rank=" << e.rank << " "
+        << comm::seam_name(e.seam) << "=" << e.at;
     if (e.seconds > 0) out << " seconds=" << e.seconds;
     out << "\n";
   }

@@ -172,14 +172,14 @@ void Checkpointer::write_staged(const Staged& staged) {
   // throws — either way coordinator_arrive never runs for this rank, so
   // the step can never publish with a damaged shard in it.
   if (auto injector = io_fault_injector()) {
-    const auto fault =
-        injector->before_io(comm::IoPath::kWrite, staged.shard.rank);
-    if (fault.fail || fault.unreadable) throw Error(fault.reason);
-    if (fault.torn) {
-      format::write_shard_file(path, staged.shard);
-      std::error_code tear_ec;
-      const auto size = fs::file_size(path, tear_ec);
-      if (!tear_ec) fs::resize_file(path, size / 2, tear_ec);
+    const auto fault = injector->hit(comm::Seam::kWrite, staged.shard.rank);
+    if (fault.any()) {
+      if (fault.only(comm::FaultEvent::Kind::kIoTorn)) {
+        format::write_shard_file(path, staged.shard);
+        std::error_code tear_ec;
+        const auto size = fs::file_size(path, tear_ec);
+        if (!tear_ec) fs::resize_file(path, size / 2, tear_ec);
+      }
       throw Error(fault.reason);
     }
   }
@@ -391,6 +391,17 @@ void save_file(const std::string& path, const StateDesc& state,
   format::write_shard_file(path, shard);
 }
 
+void save_checkpoint(nn::Module& module, const std::string& path) {
+  save_file(path, replicated_state(module, /*optimizer=*/nullptr, /*rank=*/0,
+                                   /*world=*/1, /*for_save=*/true));
+}
+
+void load_checkpoint(nn::Module& module, const std::string& path) {
+  CheckpointReader reader(path);
+  reader.restore(replicated_state(module, /*optimizer=*/nullptr, /*rank=*/0,
+                                  /*world=*/1, /*for_save=*/false));
+}
+
 // ----- resolution ------------------------------------------------------------
 
 PublishedManifest latest_published_manifest(const std::string& root) {
@@ -450,8 +461,7 @@ void verify_checkpoint_dir(const std::string& dir) {
     // Same seam as restore reads: a verification pass is a read of every
     // record, and injected unreadable/torn faults must be able to hit it.
     if (auto injector = io_fault_injector()) {
-      const auto fault =
-          injector->before_io(comm::IoPath::kRead, this_thread_rank());
+      const auto fault = injector->hit(comm::Seam::kRead, this_thread_rank());
       if (fault.any()) throw Error(fault.reason + " verifying " + path);
     }
     const format::ShardHeader header = format::read_shard_header(path);
@@ -542,8 +552,7 @@ u64 CheckpointReader::rng_state(const std::string& name) const {
 const float* CheckpointReader::part_data(StoredPart& part) {
   if (part.data == nullptr) {
     if (auto injector = io_fault_injector()) {
-      const auto fault =
-          injector->before_io(comm::IoPath::kRead, this_thread_rank());
+      const auto fault = injector->hit(comm::Seam::kRead, this_thread_rank());
       if (fault.any()) {
         throw Error(fault.reason + " reading " + files_[part.file]);
       }

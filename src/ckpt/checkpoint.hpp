@@ -134,12 +134,22 @@ std::vector<i64> apply_retention(const std::string& root,
                                  const RetentionPolicy& policy);
 
 /// Writes a complete single-rank checkpoint to `path` as one shard file
-/// (atomically). The legacy train::save_checkpoint API and single-process
-/// tools use this; the result is readable by CheckpointReader like any
-/// directory checkpoint.
+/// (atomically). save_checkpoint and single-process tools use this; the
+/// result is readable by CheckpointReader like any directory checkpoint.
 void save_file(const std::string& path, const StateDesc& state,
                const std::map<std::string, i64>& counters = {},
                const std::map<std::string, u64>& rng_streams = {});
+
+/// Parameters-only module checkpoint: every parameter (name, full shape,
+/// data) of `module` written by save_file as a single checksummed shard.
+void save_checkpoint(nn::Module& module, const std::string& path);
+
+/// Loads a save_checkpoint file (or any checkpoint holding the module's
+/// parameters) into `module`. Every parameter must be present with a
+/// matching full shape — the first mismatch is reported by name; extra
+/// entries are ignored. Throws geofm::Error on mismatch, corruption, or
+/// malformed input.
+void load_checkpoint(nn::Module& module, const std::string& path);
 
 /// A complete (manifest-bearing) published checkpoint under a root.
 struct PublishedManifest {

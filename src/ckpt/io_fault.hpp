@@ -5,7 +5,7 @@
 // and friends) is installed process-wide here, and every storage seam —
 // primary shard writes (Checkpointer), shard reads at restore
 // (CheckpointReader), and uploader file copies — consults it via
-// `FaultInjector::before_io` before touching the filesystem. The slot is
+// `FaultInjector::hit` before touching the filesystem. The slot is
 // process-global because checkpoint IO already rendezvouses through
 // process-global state (the save coordinator): one injector covers every
 // rank of the in-process world, exactly like

@@ -140,13 +140,11 @@ void Uploader::throttle(double started, i64 bytes) {
 void Uploader::copy_file(const std::string& from, const std::string& to,
                          bool allow_torn) {
   if (auto injector = io_fault_injector()) {
-    const auto fault =
-        injector->before_io(comm::IoPath::kUpload, opts_.owner_rank);
-    if (fault.fail || fault.unreadable) throw Error(fault.reason);
-    if (fault.torn) {
+    const auto fault = injector->hit(comm::Seam::kUpload, opts_.owner_rank);
+    if (fault.any()) {
       // Land a truncated copy before failing — the realistic shape of an
       // interrupted transfer. Verification must catch it.
-      if (allow_torn) {
+      if (allow_torn && fault.only(comm::FaultEvent::Kind::kIoTorn)) {
         std::ifstream in(from, std::ios::binary | std::ios::ate);
         GEOFM_CHECK(in.good(), "cannot open " + from);
         const std::streamsize half = in.tellg() / 2;

@@ -17,7 +17,7 @@
 //          -> published (atomic rename to `step_N/`, destination LATEST
 //             updated)
 //
-// Any failure — injected via the io-fault seam (`IoPath::kUpload`), a
+// Any failure — injected via the io-fault seam (`Seam::kUpload`), a
 // real filesystem error, a checksum mismatch at verify, or a per-attempt
 // timeout — discards the temp dir and retries with exponential backoff
 // and deterministic jitter, up to `max_retries` attempts. Exhausting the

@@ -1,6 +1,7 @@
 #include "comm/communicator.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <thread>
 
@@ -48,20 +49,30 @@ const char* execute_name(detail::PendingOp::Kind k) {
   return "comm.execute";
 }
 
-const char* op_label(detail::PendingOp::Kind k) {
-  using Kind = detail::PendingOp::Kind;
-  switch (k) {
-    case Kind::kAllReduce: return "all_reduce";
-    case Kind::kAllGather: return "all_gather";
-    case Kind::kReduceScatter: return "reduce_scatter";
-    case Kind::kBroadcast: return "broadcast";
-  }
-  return "collective";
+// Injected wire corruption: flips one mantissa bit (perturbs, never NaNs)
+// of one payload element, both picked by the fault site hash.
+void corrupt_payload(u64 site, float* payload, i64 count) {
+  if (payload == nullptr || count <= 0) return;
+  float& x = payload[site % static_cast<u64>(count)];
+  u32 bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  bits ^= 1u << ((site >> 32) % 23);
+  std::memcpy(&x, &bits, sizeof(bits));
 }
 
 }  // namespace
 
 namespace detail {
+
+const char* op_label(PendingOp::Kind k) {
+  switch (k) {
+    case PendingOp::Kind::kAllReduce: return "all_reduce";
+    case PendingOp::Kind::kAllGather: return "all_gather";
+    case PendingOp::Kind::kReduceScatter: return "reduce_scatter";
+    case PendingOp::Kind::kBroadcast: return "broadcast";
+  }
+  return "collective";
+}
 
 LeaderBarrier::LeaderBarrier(int n)
     : n_(n), in_(static_cast<size_t>(n), 0) {
@@ -494,11 +505,15 @@ CollectiveHandle Communicator::post(detail::PendingOp::Kind kind, ReduceOp red,
     // plain heap storage, const only through the collective's signature),
     // or kill the rank: abort peers, then unwind.
     const int grank = g.global_ranks[static_cast<size_t>(rank_)];
-    const auto fault = injector->before_post(grank, op_label(kind),
-                                             const_cast<float*>(src), count);
-    if (fault.kill) {
-      abort(fault.kill_reason, "fault_kill");
-      throw RankKilled(fault.kill_reason, grank);
+    const FaultHit fault = injector->hit(Seam::kPost, grank);
+    if (fault.has(FaultEvent::Kind::kCorrupt)) {
+      corrupt_payload(fault.site, const_cast<float*>(src), count);
+    }
+    if (fault.has(FaultEvent::Kind::kKill)) {
+      const std::string why =
+          fault.reason + " (" + detail::op_label(kind) + ")";
+      abort(why, "fault_kill");
+      throw RankKilled(why, grank);
     }
     std::lock_guard<std::mutex> lk(g.async_mu);
     if (g.aborted) {  // a peer may have died during our injected delay

@@ -148,6 +148,9 @@ struct PendingOp {
   std::chrono::steady_clock::time_point complete_tp;
 };
 
+/// "all_reduce", "all_gather", ... — for diagnoses and fault reasons.
+const char* op_label(PendingOp::Kind kind);
+
 /// Cache-line-padded per-rank progress clock (watchdog heartbeat). Padded
 /// so the relaxed store each rank makes on every post never shares a line
 /// with a peer's — an unpadded array costs measurable hot-path time.

@@ -1,7 +1,7 @@
 #include "comm/fault.hpp"
 
 #include <chrono>
-#include <cstring>
+#include <iterator>
 #include <thread>
 
 #include "obs/trace.hpp"
@@ -9,430 +9,133 @@
 
 namespace geofm::comm {
 
-FaultEvent FaultEvent::kill_at_step(int rank, i64 step) {
-  FaultEvent e;
-  e.kind = Kind::kKill;
-  e.rank = rank;
-  e.step = step;
-  return e;
-}
-
-FaultEvent FaultEvent::kill_at_post(int rank, i64 after_posts) {
-  FaultEvent e;
-  e.kind = Kind::kKill;
-  e.rank = rank;
-  e.after_posts = after_posts;
-  return e;
-}
-
-FaultEvent FaultEvent::stall_at_step(int rank, i64 step, double seconds) {
-  FaultEvent e;
-  e.kind = Kind::kStall;
-  e.rank = rank;
-  e.step = step;
-  e.seconds = seconds;
-  return e;
-}
-
-FaultEvent FaultEvent::stall_at_post(int rank, i64 after_posts,
-                                     double seconds) {
-  FaultEvent e;
-  e.kind = Kind::kStall;
-  e.rank = rank;
-  e.after_posts = after_posts;
-  e.seconds = seconds;
-  return e;
-}
-
-FaultEvent FaultEvent::slow_rank(int rank, i64 after_posts, double seconds,
-                                 i64 posts_affected) {
-  FaultEvent e;
-  e.kind = Kind::kSlowRank;
-  e.rank = rank;
-  e.after_posts = after_posts;
-  e.seconds = seconds;
-  e.posts_affected = posts_affected;
-  return e;
-}
-
-FaultEvent FaultEvent::corrupt_at_post(int rank, i64 after_posts) {
-  FaultEvent e;
-  e.kind = Kind::kCorrupt;
-  e.rank = rank;
-  e.after_posts = after_posts;
-  return e;
-}
-
-FaultEvent FaultEvent::callback_every_step(
-    std::function<void(Communicator&, i64)> fn) {
-  FaultEvent e;
-  e.kind = Kind::kCallback;
-  e.rank = -1;
-  e.callback = std::move(fn);
-  return e;
-}
-
 namespace {
 
-FaultEvent make_io_event(FaultEvent::Kind kind, IoPath path, int rank,
-                         i64 after_io, double seconds, i64 ops_affected) {
-  FaultEvent e;
-  e.kind = kind;
-  e.rank = rank;
-  e.io_path = path;
-  e.after_io = after_io;
-  e.seconds = seconds;
-  e.ops_affected = ops_affected;
-  return e;
-}
+using Kind = FaultEvent::Kind;
+
+constexpr u32 bit(Seam s) { return 1u << static_cast<int>(s); }
+constexpr u32 kCommSeams = bit(Seam::kStep) | bit(Seam::kPost);
+constexpr u32 kStorageSeams =
+    bit(Seam::kWrite) | bit(Seam::kRead) | bit(Seam::kUpload);
+
+// The kind table, indexed by Kind: the stable name, the trace instant
+// emitted when the kind fires, the firing rule, whether the effect is an
+// inline sleep of `seconds` (else a FaultHit bit the seam applies), and
+// the seams that act on the kind.
+struct KindInfo {
+  const char* name;
+  const char* instant;
+  bool windowed;
+  bool delays;
+  u32 seams;
+};
+
+constexpr KindInfo kKinds[] = {
+    {"kill", "fault.kill", false, false, kCommSeams},
+    {"stall", "fault.stall", false, true, kCommSeams},
+    {"slow_rank", nullptr, true, true, bit(Seam::kPost)},
+    {"corrupt", "fault.corrupt", false, false, bit(Seam::kPost)},
+    {"io_fail", "fault.io", true, false, kStorageSeams},
+    {"io_torn", "fault.io", false, false, kStorageSeams},
+    {"io_slow", "fault.io_slow", true, true, kStorageSeams},
+    {"io_unreadable", "fault.io", false, false, kStorageSeams},
+    {"loader_worker_kill", "fault.loader", false, false, bit(Seam::kRender)},
+    {"loader_slow_render", "fault.loader_slow", true, true,
+     bit(Seam::kRender)},
+    {"loader_poison", "fault.loader", false, false, bit(Seam::kRender)},
+};
+static_assert(std::size(kKinds) ==
+              static_cast<size_t>(Kind::kLoaderPoison) + 1);
+
+constexpr const char* kSeams[] = {"step", "post",   "write",
+                                  "read", "upload", "render"};
+static_assert(std::size(kSeams) == static_cast<size_t>(Seam::kRender) + 1);
+
+const KindInfo& info(Kind kind) { return kKinds[static_cast<int>(kind)]; }
 
 }  // namespace
 
-FaultEvent FaultEvent::io_fail_write(int rank, i64 after_io,
-                                     i64 ops_affected) {
-  return make_io_event(Kind::kIoFail, IoPath::kWrite, rank, after_io, 0,
-                       ops_affected);
+bool FaultEvent::windowed() const { return info(kind).windowed; }
+
+const char* kind_name(Kind kind) { return info(kind).name; }
+
+const char* seam_name(Seam seam) { return kSeams[static_cast<int>(seam)]; }
+
+Kind kind_from_name(const std::string& name) {
+  for (size_t k = 0; k < std::size(kKinds); ++k) {
+    if (name == kKinds[k].name) return static_cast<Kind>(k);
+  }
+  throw Error("unknown fault kind \"" + name + "\"");
 }
 
-FaultEvent FaultEvent::io_torn_write(int rank, i64 after_io) {
-  return make_io_event(Kind::kIoTorn, IoPath::kWrite, rank, after_io, 0, 1);
-}
-
-FaultEvent FaultEvent::io_slow_write(int rank, i64 after_io, double seconds,
-                                     i64 ops_affected) {
-  return make_io_event(Kind::kIoSlow, IoPath::kWrite, rank, after_io, seconds,
-                       ops_affected);
-}
-
-FaultEvent FaultEvent::io_unreadable_at_restore(int rank, i64 after_io) {
-  return make_io_event(Kind::kIoUnreadable, IoPath::kRead, rank, after_io, 0,
-                       1);
-}
-
-FaultEvent FaultEvent::io_fail_upload(i64 after_io, i64 ops_affected) {
-  return make_io_event(Kind::kIoFail, IoPath::kUpload, 0, after_io, 0,
-                       ops_affected);
-}
-
-FaultEvent FaultEvent::io_torn_upload(i64 after_io) {
-  return make_io_event(Kind::kIoTorn, IoPath::kUpload, 0, after_io, 0, 1);
-}
-
-FaultEvent FaultEvent::io_slow_upload(i64 after_io, double seconds,
-                                      i64 ops_affected) {
-  return make_io_event(Kind::kIoSlow, IoPath::kUpload, 0, after_io, seconds,
-                       ops_affected);
-}
-
-FaultEvent FaultEvent::loader_worker_kill(int rank, i64 batch) {
-  return make_io_event(Kind::kLoaderWorkerKill, IoPath::kRender, rank, batch,
-                       0, 1);
-}
-
-FaultEvent FaultEvent::loader_slow_render(int rank, i64 batch, double seconds,
-                                          i64 ops_affected) {
-  return make_io_event(Kind::kLoaderSlowRender, IoPath::kRender, rank, batch,
-                       seconds, ops_affected);
-}
-
-FaultEvent FaultEvent::loader_poison(int rank, i64 batch) {
-  return make_io_event(Kind::kLoaderPoison, IoPath::kRender, rank, batch, 0,
-                       1);
+Seam seam_from_name(const std::string& name) {
+  for (size_t s = 0; s < std::size(kSeams); ++s) {
+    if (name == kSeams[s]) return static_cast<Seam>(s);
+  }
+  throw Error("unknown fault seam \"" + name + "\"");
 }
 
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), fired_(plan_.events.size(), false) {
-  for (const auto& e : plan_.events) {
-    if (e.is_io()) {
-      GEOFM_CHECK(e.io_path != IoPath::kNone &&
-                      e.io_path != IoPath::kRender,
-                  "IO fault event must name a storage io_path");
-      GEOFM_CHECK(e.after_io >= 0,
-                  "IO fault event must trigger at an op index");
-      GEOFM_CHECK(e.rank >= -1, "IO fault event rank must be >= -1");
-      has_io_events_ = true;
-      continue;
-    }
-    if (e.is_loader()) {
-      GEOFM_CHECK(e.io_path == IoPath::kRender,
-                  "loader fault event must use io_path render");
-      GEOFM_CHECK(e.after_io >= 0,
-                  "loader fault event must trigger at a batch ordinal");
-      GEOFM_CHECK(e.rank >= -1, "loader fault event rank must be >= -1");
-      has_loader_events_ = true;
-      continue;
-    }
-    GEOFM_CHECK(e.kind == FaultEvent::Kind::kCallback || e.rank >= 0,
-                "fault event must target a specific rank");
-    GEOFM_CHECK(e.kind != FaultEvent::Kind::kCallback || e.callback,
-                "kCallback fault event without a callback");
+  for (const FaultEvent& e : plan_.events) {
+    GEOFM_CHECK(info(e.kind).seams & bit(e.seam),
+                "fault kind " << kind_name(e.kind) << " does nothing at the "
+                              << seam_name(e.seam) << " seam");
+    GEOFM_CHECK(e.at >= 0 && e.count >= 0 && e.seconds >= 0,
+                "fault event needs a non-negative ordinal, count and delay");
+    GEOFM_CHECK(e.rank >= ((bit(e.seam) & kCommSeams) ? 0 : -1),
+                "fault event rank " << e.rank << " is out of range at the "
+                                    << seam_name(e.seam) << " seam");
+    seams_ |= bit(e.seam);
   }
 }
 
-namespace {
-
-// Flips one mantissa bit of one payload element, both chosen by a hash of
-// (plan seed, rank, post index) — the same plan corrupts the same bit of
-// the same element on every run.
-void corrupt_payload(u64 seed, int rank, u64 post_index, float* payload,
-                     i64 count) {
-  if (payload == nullptr || count <= 0) return;
-  const u64 h =
-      mix64(seed ^ mix64(post_index + 0x9e3779b97f4a7c15ull) ^
-            static_cast<u64>(static_cast<i64>(rank) + 1));
-  const i64 at = static_cast<i64>(h % static_cast<u64>(count));
-  u32 bits = 0;
-  std::memcpy(&bits, &payload[at], sizeof(bits));
-  bits ^= 1u << ((h >> 32) % 23);  // mantissa bit: perturbs, never NaNs
-  std::memcpy(&payload[at], &bits, sizeof(bits));
-  obs::trace_instant("fault.corrupt", "fault");
-}
-
-}  // namespace
-
-void FaultInjector::at_step_point(Communicator& comm, i64 step) {
-  const int rank = comm.global_rank();
-  double sleep_seconds = 0;
-  std::vector<std::function<void(Communicator&, i64)>> callbacks;
-  std::string kill_reason;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < plan_.events.size(); ++i) {
-      const FaultEvent& e = plan_.events[i];
-      if (e.rank != -1 && e.rank != rank) continue;
-      switch (e.kind) {
-        case FaultEvent::Kind::kCallback:
-          if (e.step == -1 || e.step == step) {
-            if (e.step != -1) fired_[i] = true;
-            callbacks.push_back(e.callback);
-          }
-          break;
-        case FaultEvent::Kind::kStall:
-          if (e.step == step && !fired_[i]) {
-            fired_[i] = true;
-            sleep_seconds += e.seconds;
-          }
-          break;
-        case FaultEvent::Kind::kKill:
-          if (e.step == step && !fired_[i]) {
-            fired_[i] = true;
-            kill_reason = "rank " + std::to_string(rank) +
-                          " killed by fault plan at step " +
-                          std::to_string(step);
-          }
-          break;
-        default:
-          break;  // post-boundary, io-seam, and loader-seam events
-      }
-    }
-  }
-  // Side effects run with the injector unlocked: callbacks may post
-  // collectives, stalls must not serialize peers' trigger checks, and the
-  // kill path aborts the communicator (which wakes blocked peers).
-  for (auto& cb : callbacks) cb(comm, step);
-  if (sleep_seconds > 0) {
-    obs::trace_instant("fault.stall", "fault");
-    std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
-  }
-  if (!kill_reason.empty()) {
-    obs::trace_instant("fault.kill", "fault");
-    comm.abort(kill_reason, "fault_kill");
-    throw RankKilled(kill_reason, rank);
-  }
-}
-
-FaultInjector::PostFault FaultInjector::before_post(int global_rank,
-                                                    const char* op_label,
-                                                    float* payload,
-                                                    i64 count) {
-  PostFault out;
+FaultHit FaultInjector::hit(Seam seam, int rank, i64 ordinal) {
+  FaultHit out;
+  if (!has(seam)) return out;
   double sleep_seconds = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    const u64 idx = posts_[global_rank]++;
+    if (seam != Seam::kStep && seam != Seam::kRender) {
+      ordinal = counters_[{seam, rank}]++;
+    }
     for (size_t i = 0; i < plan_.events.size(); ++i) {
       const FaultEvent& e = plan_.events[i];
-      if (e.rank != global_rank || e.after_posts < 0) continue;
-      const u64 trigger = static_cast<u64>(e.after_posts);
-      switch (e.kind) {
-        case FaultEvent::Kind::kStall:
-          if (idx == trigger && !fired_[i]) {
-            fired_[i] = true;
-            sleep_seconds += e.seconds;
-          }
-          break;
-        case FaultEvent::Kind::kSlowRank:
-          if (idx >= trigger &&
-              (e.posts_affected <= 0 ||
-               idx < trigger + static_cast<u64>(e.posts_affected))) {
-            fired_[i] = true;
-            sleep_seconds += e.seconds;
-          }
-          break;
-        case FaultEvent::Kind::kCorrupt:
-          if (idx == trigger && !fired_[i]) {
-            fired_[i] = true;
-            corrupt_payload(plan_.seed, global_rank, idx, payload, count);
-          }
-          break;
-        case FaultEvent::Kind::kKill:
-          if (idx == trigger && !fired_[i]) {
-            fired_[i] = true;
-            out.kill = true;
-            out.kill_reason = "rank " + std::to_string(global_rank) +
-                              " killed by fault plan at " + op_label +
-                              " post " + std::to_string(idx);
-          }
-          break;
-        default:
-          break;  // step-point, io-seam, and loader-seam events
+      if (e.seam != seam || (e.rank != -1 && e.rank != rank)) continue;
+      const KindInfo& k = info(e.kind);
+      const bool due =
+          k.windowed
+              ? ordinal >= e.at && (e.count == 0 || ordinal - e.at < e.count)
+              : ordinal == e.at && !fired_[i];
+      if (!due) continue;
+      fired_[i] = true;
+      if (k.instant != nullptr) obs::trace_instant(k.instant, "fault");
+      if (k.delays) {
+        sleep_seconds += e.seconds;
+        continue;
+      }
+      out.kinds |= 1u << static_cast<int>(e.kind);
+      if (out.reason.empty()) {
+        const std::string where = std::string(seam_name(seam)) + " " +
+                                  std::to_string(ordinal);
+        out.reason = e.kind == Kind::kKill
+                         ? "rank " + std::to_string(rank) +
+                               " killed by fault plan at " + where
+                         : std::string("injected ") + k.name + " at " +
+                               where + " on rank " + std::to_string(rank);
       }
     }
   }
+  // One site hash per (seed, rank, ordinal): the same plan corrupts the
+  // same payload bit, or poisons the same sample, on every run.
+  out.site = mix64(plan_.seed ^
+                   mix64(static_cast<u64>(ordinal) + 0x9e3779b97f4a7c15ull) ^
+                   static_cast<u64>(static_cast<i64>(rank) + 1));
+  // Delays sleep with the injector unlocked so peers' trigger checks are
+  // not serialized behind them; a long one is exactly the hang the comm
+  // and loader watchdogs exist to detect.
   if (sleep_seconds > 0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
-  }
-  return out;
-}
-
-namespace {
-
-const char* io_path_name(IoPath path) {
-  switch (path) {
-    case IoPath::kNone:
-      return "none";
-    case IoPath::kWrite:
-      return "write";
-    case IoPath::kRead:
-      return "read";
-    case IoPath::kUpload:
-      return "upload";
-    case IoPath::kRender:
-      return "render";
-  }
-  return "none";
-}
-
-}  // namespace
-
-FaultInjector::IoFault FaultInjector::before_io(IoPath path, int rank) {
-  IoFault out;
-  if (!has_io_events_ || path == IoPath::kNone) return out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const u64 idx = io_ops_[{static_cast<int>(path), rank}]++;
-    for (size_t i = 0; i < plan_.events.size(); ++i) {
-      const FaultEvent& e = plan_.events[i];
-      if (!e.is_io() || e.io_path != path) continue;
-      if (e.rank != -1 && e.rank != rank) continue;
-      const u64 trigger = static_cast<u64>(e.after_io);
-      const bool in_window =
-          idx >= trigger && (e.ops_affected <= 0 ||
-                             idx < trigger + static_cast<u64>(e.ops_affected));
-      const std::string site = std::string(io_path_name(path)) + " op " +
-                               std::to_string(idx) + " on rank " +
-                               std::to_string(rank);
-      switch (e.kind) {
-        case FaultEvent::Kind::kIoFail:
-          if (in_window) {
-            fired_[i] = true;
-            out.fail = true;
-            out.reason = "injected io failure (" + site + ")";
-          }
-          break;
-        case FaultEvent::Kind::kIoTorn:
-          if (idx == trigger && !fired_[i]) {
-            fired_[i] = true;
-            out.torn = true;
-            out.reason = "injected torn write (" + site + ")";
-          }
-          break;
-        case FaultEvent::Kind::kIoSlow:
-          if (in_window) {
-            fired_[i] = true;
-            out.delay_seconds += e.seconds;
-          }
-          break;
-        case FaultEvent::Kind::kIoUnreadable:
-          if (idx == trigger && !fired_[i]) {
-            fired_[i] = true;
-            out.unreadable = true;
-            out.reason = "injected unreadable shard (" + site + ")";
-          }
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  // The slow-disk delay sleeps inline (mirroring before_post) so callers
-  // need no extra plumbing; `delay_seconds` is reported for accounting.
-  if (out.delay_seconds > 0) {
-    obs::trace_instant("fault.io_slow", "fault");
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(out.delay_seconds));
-  }
-  if (out.any()) obs::trace_instant("fault.io", "fault");
-  return out;
-}
-
-FaultInjector::LoaderFault FaultInjector::before_render(int rank,
-                                                        i64 batch_ordinal) {
-  LoaderFault out;
-  if (!has_loader_events_ || batch_ordinal < 0) return out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < plan_.events.size(); ++i) {
-      const FaultEvent& e = plan_.events[i];
-      if (!e.is_loader()) continue;
-      if (e.rank != -1 && e.rank != rank) continue;
-      const i64 trigger = e.after_io;
-      const std::string site = "render of batch " +
-                               std::to_string(batch_ordinal) + " on rank " +
-                               std::to_string(rank);
-      switch (e.kind) {
-        case FaultEvent::Kind::kLoaderWorkerKill:
-          if (batch_ordinal == trigger && !fired_[i]) {
-            fired_[i] = true;
-            out.kill_worker = true;
-            out.reason = "injected loader worker death (" + site + ")";
-          }
-          break;
-        case FaultEvent::Kind::kLoaderSlowRender:
-          if (batch_ordinal >= trigger &&
-              (e.ops_affected <= 0 ||
-               batch_ordinal < trigger + e.ops_affected)) {
-            fired_[i] = true;
-            out.delay_seconds += e.seconds;
-          }
-          break;
-        case FaultEvent::Kind::kLoaderPoison:
-          if (batch_ordinal == trigger && !fired_[i]) {
-            fired_[i] = true;
-            out.poison = true;
-            out.poison_site =
-                mix64(plan_.seed ^
-                      mix64(static_cast<u64>(batch_ordinal) +
-                            0x9e3779b97f4a7c15ull) ^
-                      static_cast<u64>(static_cast<i64>(rank) + 1));
-            out.reason = "injected poisoned sample (" + site + ")";
-          }
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  // The slow-render delay sleeps inline (mirroring before_io): a hung
-  // render is exactly a worker thread that does not come back, which is
-  // what the loader watchdog exists to detect.
-  if (out.delay_seconds > 0) {
-    obs::trace_instant("fault.loader_slow", "fault");
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(out.delay_seconds));
-  }
-  if (out.kill_worker || out.poison) {
-    obs::trace_instant("fault.loader", "fault");
   }
   return out;
 }

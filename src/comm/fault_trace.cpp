@@ -8,15 +8,24 @@
 //                "seconds": 0, "posts_affected": 0, "io_path": "none",
 //                "after_io": -1, "ops_affected": 1}, ...]}
 //
-// Every trigger field is always emitted so traces diff cleanly; doubles
-// are printed with %.17g (round-trip exact). The parser is a minimal
-// recursive-descent reader for exactly this shape — objects, arrays,
-// strings, and numbers; unknown keys are rejected loudly rather than
-// silently dropped, since a misspelled trigger field would otherwise
-// replay a different schedule.
+// The on-disk schema predates the in-memory (seam, at, count) trigger and
+// is kept byte-for-byte so existing traces and postmortem bundles replay:
+// exactly one of `step`, `after_posts`, or `io_path` + `after_io` names
+// the trigger (the step, post, or storage/render seam), and the window of
+// a windowed kind is `posts_affected` on the post seam, `ops_affected`
+// elsewhere. Every field is always emitted so traces diff cleanly;
+// doubles are printed with %.17g (round-trip exact).
+//
+// The parser is a minimal recursive-descent reader for exactly this shape
+// and treats its input as untrusted: unknown keys, out-of-range integers,
+// non-finite or negative delays, and events naming zero or two triggers
+// are rejected with `Error` rather than replaying a different schedule.
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "comm/fault.hpp"
@@ -25,75 +34,8 @@ namespace geofm::comm {
 
 namespace {
 
-const char* kind_name(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kKill:
-      return "kill";
-    case FaultEvent::Kind::kStall:
-      return "stall";
-    case FaultEvent::Kind::kSlowRank:
-      return "slow_rank";
-    case FaultEvent::Kind::kCorrupt:
-      return "corrupt";
-    case FaultEvent::Kind::kCallback:
-      return "callback";
-    case FaultEvent::Kind::kIoFail:
-      return "io_fail";
-    case FaultEvent::Kind::kIoTorn:
-      return "io_torn";
-    case FaultEvent::Kind::kIoSlow:
-      return "io_slow";
-    case FaultEvent::Kind::kIoUnreadable:
-      return "io_unreadable";
-    case FaultEvent::Kind::kLoaderWorkerKill:
-      return "loader_worker_kill";
-    case FaultEvent::Kind::kLoaderSlowRender:
-      return "loader_slow_render";
-    case FaultEvent::Kind::kLoaderPoison:
-      return "loader_poison";
-  }
-  return "kill";
-}
-
-FaultEvent::Kind kind_from_name(const std::string& name) {
-  if (name == "kill") return FaultEvent::Kind::kKill;
-  if (name == "stall") return FaultEvent::Kind::kStall;
-  if (name == "slow_rank") return FaultEvent::Kind::kSlowRank;
-  if (name == "corrupt") return FaultEvent::Kind::kCorrupt;
-  if (name == "io_fail") return FaultEvent::Kind::kIoFail;
-  if (name == "io_torn") return FaultEvent::Kind::kIoTorn;
-  if (name == "io_slow") return FaultEvent::Kind::kIoSlow;
-  if (name == "io_unreadable") return FaultEvent::Kind::kIoUnreadable;
-  if (name == "loader_worker_kill") return FaultEvent::Kind::kLoaderWorkerKill;
-  if (name == "loader_slow_render") return FaultEvent::Kind::kLoaderSlowRender;
-  if (name == "loader_poison") return FaultEvent::Kind::kLoaderPoison;
-  throw Error("fault trace: unknown event kind \"" + name + "\"");
-}
-
-const char* path_name(IoPath path) {
-  switch (path) {
-    case IoPath::kNone:
-      return "none";
-    case IoPath::kWrite:
-      return "write";
-    case IoPath::kRead:
-      return "read";
-    case IoPath::kUpload:
-      return "upload";
-    case IoPath::kRender:
-      return "render";
-  }
-  return "none";
-}
-
-IoPath path_from_name(const std::string& name) {
-  if (name == "none") return IoPath::kNone;
-  if (name == "write") return IoPath::kWrite;
-  if (name == "read") return IoPath::kRead;
-  if (name == "upload") return IoPath::kUpload;
-  if (name == "render") return IoPath::kRender;
-  throw Error("fault trace: unknown io_path \"" + name + "\"");
-}
+constexpr i64 kMaxI64 = std::numeric_limits<i64>::max();
+constexpr i64 kMaxInt = std::numeric_limits<int>::max();
 
 std::string format_double(double v) {
   char buf[64];
@@ -126,14 +68,6 @@ class JsonReader {
     GEOFM_CHECK(peek() == c, "fault trace: expected '" + std::string(1, c) +
                                  "' at offset " + std::to_string(pos_));
     ++pos_;
-  }
-
-  bool consume_if(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
   }
 
   std::string read_string() {
@@ -170,26 +104,39 @@ class JsonReader {
     return out;
   }
 
-  double read_number() {
+  /// A finite, non-negative number (delays feed sleep_for directly).
+  double read_seconds() {
     skip_ws();
     const char* start = text_.c_str() + pos_;
     char* end = nullptr;
-    double v = std::strtod(start, &end);
+    const double v = std::strtod(start, &end);
     GEOFM_CHECK(end != start, "fault trace: expected a number at offset " +
                                   std::to_string(pos_));
+    GEOFM_CHECK(std::isfinite(v) && v >= 0,
+                "fault trace: seconds must be finite and >= 0 at offset " +
+                    std::to_string(pos_));
     pos_ += static_cast<size_t>(end - start);
     return v;
   }
 
-  u64 read_u64() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
+  /// An integer literal in [lo, hi]; fractions, exponents, and values
+  /// outside i64 are rejected rather than truncated.
+  i64 read_int(i64 lo, i64 hi) {
+    const char* start = integer_start();
     char* end = nullptr;
-    u64 v = std::strtoull(start, &end, 10);
-    GEOFM_CHECK(end != start,
-                "fault trace: expected an unsigned integer at offset " +
-                    std::to_string(pos_));
-    pos_ += static_cast<size_t>(end - start);
+    errno = 0;
+    const long long v = std::strtoll(start, &end, 10);
+    finish_integer(start, end, errno != ERANGE && v >= lo && v <= hi);
+    return v;
+  }
+
+  u64 read_u64() {
+    const char* start = integer_start();
+    char* end = nullptr;
+    errno = 0;
+    // strtoull would silently wrap a leading '-'.
+    const unsigned long long v = std::strtoull(start, &end, 10);
+    finish_integer(start, end, errno != ERANGE && *start != '-');
     return v;
   }
 
@@ -199,12 +146,30 @@ class JsonReader {
   }
 
  private:
+  const char* integer_start() {
+    skip_ws();
+    return text_.c_str() + pos_;
+  }
+
+  void finish_integer(const char* start, const char* end, bool in_range) {
+    GEOFM_CHECK(end != start, "fault trace: expected an integer at offset " +
+                                  std::to_string(pos_));
+    GEOFM_CHECK(in_range && *end != '.' && *end != 'e' && *end != 'E',
+                "fault trace: integer out of range at offset " +
+                    std::to_string(pos_));
+    pos_ += static_cast<size_t>(end - start);
+  }
+
   const std::string& text_;
   size_t pos_ = 0;
 };
 
 FaultEvent read_event(JsonReader& r) {
   FaultEvent e;
+  // The on-disk trigger fields, at the defaults an older trace omits.
+  i64 step = -1, after_posts = -1, posts_affected = 0;
+  i64 after_io = -1, ops_affected = 1;
+  std::string io_path = "none";
   r.expect('{');
   bool first = true;
   while (r.peek() != '}') {
@@ -215,26 +180,47 @@ FaultEvent read_event(JsonReader& r) {
     if (key == "kind") {
       e.kind = kind_from_name(r.read_string());
     } else if (key == "io_path") {
-      e.io_path = path_from_name(r.read_string());
+      io_path = r.read_string();
     } else if (key == "rank") {
-      e.rank = static_cast<int>(r.read_number());
+      e.rank = static_cast<int>(r.read_int(-1, kMaxInt));
     } else if (key == "step") {
-      e.step = static_cast<i64>(r.read_number());
+      step = r.read_int(-1, kMaxI64);
     } else if (key == "after_posts") {
-      e.after_posts = static_cast<i64>(r.read_number());
+      after_posts = r.read_int(-1, kMaxI64);
     } else if (key == "seconds") {
-      e.seconds = r.read_number();
+      e.seconds = r.read_seconds();
     } else if (key == "posts_affected") {
-      e.posts_affected = static_cast<i64>(r.read_number());
+      posts_affected = r.read_int(0, kMaxI64);
     } else if (key == "after_io") {
-      e.after_io = static_cast<i64>(r.read_number());
+      after_io = r.read_int(-1, kMaxI64);
     } else if (key == "ops_affected") {
-      e.ops_affected = static_cast<i64>(r.read_number());
+      ops_affected = r.read_int(0, kMaxI64);
     } else {
       throw Error("fault trace: unknown event field \"" + key + "\"");
     }
   }
   r.expect('}');
+
+  const bool io = io_path != "none" || after_io >= 0;
+  GEOFM_CHECK((step >= 0) + (after_posts >= 0) + io == 1,
+              "fault trace: an event must name exactly one trigger (step, "
+              "after_posts, or io_path + after_io)");
+  if (step >= 0) {
+    e.seam = Seam::kStep;
+    e.at = step;
+  } else if (after_posts >= 0) {
+    e.seam = Seam::kPost;
+    e.at = after_posts;
+    e.count = posts_affected;
+  } else {
+    e.seam = seam_from_name(io_path);
+    GEOFM_CHECK(e.seam != Seam::kStep && e.seam != Seam::kPost && after_io >= 0,
+                "fault trace: io_path \"" + io_path +
+                    "\" needs a storage or render path and an after_io");
+    e.at = after_io;
+    e.count = ops_affected;
+  }
+  if (!e.windowed()) e.count = 1;
   return e;
 }
 
@@ -245,20 +231,23 @@ std::string plan_to_json(const FaultPlan& plan) {
                     ",\n \"events\": [";
   bool first = true;
   for (const auto& e : plan.events) {
-    GEOFM_CHECK(e.kind != FaultEvent::Kind::kCallback,
-                "fault trace: kCallback events hold code and cannot be "
-                "serialized");
+    const bool step = e.seam == Seam::kStep;
+    const bool post = e.seam == Seam::kPost;
+    const bool io = !step && !post;
     if (!first) out += ",";
     first = false;
     out += "\n  {\"kind\": \"" + std::string(kind_name(e.kind)) + "\"";
     out += ", \"rank\": " + std::to_string(e.rank);
-    out += ", \"step\": " + std::to_string(e.step);
-    out += ", \"after_posts\": " + std::to_string(e.after_posts);
+    out += ", \"step\": " + std::to_string(step ? e.at : -1);
+    out += ", \"after_posts\": " + std::to_string(post ? e.at : -1);
     out += ", \"seconds\": " + format_double(e.seconds);
-    out += ", \"posts_affected\": " + std::to_string(e.posts_affected);
-    out += ", \"io_path\": \"" + std::string(path_name(e.io_path)) + "\"";
-    out += ", \"after_io\": " + std::to_string(e.after_io);
-    out += ", \"ops_affected\": " + std::to_string(e.ops_affected);
+    out += ", \"posts_affected\": " +
+           std::to_string(post && e.windowed() ? e.count : 0);
+    out += ", \"io_path\": \"" + std::string(io ? seam_name(e.seam) : "none") +
+           "\"";
+    out += ", \"after_io\": " + std::to_string(io ? e.at : -1);
+    out += ", \"ops_affected\": " +
+           std::to_string(io && e.windowed() ? e.count : 1);
     out += "}";
   }
   out += first ? "]}\n" : "\n ]}\n";

@@ -13,16 +13,6 @@ namespace geofm::comm {
 namespace detail {
 namespace {
 
-const char* kind_label(PendingOp::Kind k) {
-  switch (k) {
-    case PendingOp::Kind::kAllReduce: return "all_reduce";
-    case PendingOp::Kind::kAllGather: return "all_gather";
-    case PendingOp::Kind::kReduceScatter: return "reduce_scatter";
-    case PendingOp::Kind::kBroadcast: return "broadcast";
-  }
-  return "collective";
-}
-
 // "(last heartbeat 2.1s ago)" from the rank's post-time clock; empty when
 // the rank never posted (nothing to age against).
 std::string heartbeat_note(const CommGroup& g, int group_rank,
@@ -62,7 +52,7 @@ void scan_group(CommGroup& g, double deadline,
       const int gr = g.global_ranks[static_cast<size_t>(r)];
       out.suspects.push_back(gr);
       msg << (msg.tellp() > 0 ? "; " : "") << "rank " << gr << " stalled in "
-          << kind_label(op->kind) << " ticket " << ticket << " for ";
+          << op_label(op->kind) << " ticket " << ticket << " for ";
       char sec[32];
       std::snprintf(sec, sizeof(sec), "%.1fs", age);
       msg << sec << heartbeat_note(g, r, now);

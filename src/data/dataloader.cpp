@@ -76,10 +76,12 @@ void DataLoader::start_epoch(i64 epoch, i64 first_batch) {
     requeued_.clear();
     alive_workers_ = options_.n_workers;
     respawns_used_ = 0;
-  }
-
-  for (int w = 0; w < options_.n_workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
+    // Spawned under the lock: a worker killed by an injected fault
+    // respawns its replacement into workers_ (under mu_) while this loop
+    // may still be growing the vector.
+    for (int w = 0; w < options_.n_workers; ++w) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
   }
 }
 
@@ -134,14 +136,15 @@ Batch DataLoader::render_batch_traced(i64 batch_index) const {
   return batch;
 }
 
-Batch DataLoader::render_faulted(i64 batch_index, bool apply_poison,
-                                 u64 poison_site) {
+Batch DataLoader::render_faulted(i64 batch_index,
+                                 const comm::FaultHit& fault) {
   Batch batch = render_batch_traced(batch_index);
   const i64 rows = static_cast<i64>(batch.sample_indices.size());
   const i64 per = rows > 0 ? batch.images.numel() / rows : 0;
-  if (apply_poison && rows > 0 && per > 0) {
+  if (fault.has(comm::FaultEvent::Kind::kLoaderPoison) && rows > 0 &&
+      per > 0) {
     float* row = batch.images.data() +
-                 static_cast<i64>(poison_site % static_cast<u64>(rows)) * per;
+                 static_cast<i64>(fault.site % static_cast<u64>(rows)) * per;
     for (i64 k = 0; k < per; ++k) {
       row[k] = std::numeric_limits<float>::quiet_NaN();
     }
@@ -211,16 +214,13 @@ void DataLoader::worker_loop() {
     }
     // Fault seam: consult the installed injector on the *global* batch
     // ordinal before rendering. An injected slow-render sleeps inside
-    // before_render (that is the hang the consumer watchdog catches).
-    bool poison = false;
-    u64 poison_site = 0;
+    // the injector (that is the hang the consumer watchdog catches).
+    comm::FaultHit fault;
     if (options_.fault_injector != nullptr) {
       const i64 ordinal = epoch_ * n_batches_ + mine;
-      auto fault = options_.fault_injector->before_render(
-          owner_rank_ < 0 ? 0 : owner_rank_, ordinal);
-      poison = fault.poison;
-      poison_site = fault.poison_site;
-      if (fault.kill_worker) {
+      fault = options_.fault_injector->hit(
+          comm::Seam::kRender, owner_rank_ < 0 ? 0 : owner_rank_, ordinal);
+      if (fault.has(comm::FaultEvent::Kind::kLoaderWorkerKill)) {
         static auto& deaths =
             obs::MetricsRegistry::instance().counter("loader.worker_deaths");
         static auto& respawns =
@@ -243,7 +243,7 @@ void DataLoader::worker_loop() {
         return;  // this worker thread is dead
       }
     }
-    Batch batch = render_faulted(mine, poison, poison_site);
+    Batch batch = render_faulted(mine, fault);
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (mine >= next_to_consume_ && ready_.count(mine) == 0) {
@@ -270,16 +270,13 @@ std::optional<Batch> DataLoader::next() {
     // applies (an injected worker kill is meaningless here and ignored).
     const double t0 = monotonic_seconds();
     const i64 mine = next_to_consume_++;
-    bool poison = false;
-    u64 poison_site = 0;
+    comm::FaultHit fault;
     if (options_.fault_injector != nullptr) {
       const i64 ordinal = epoch_ * batches_per_epoch() + mine;
-      auto fault = options_.fault_injector->before_render(
-          owner_rank_ < 0 ? 0 : owner_rank_, ordinal);
-      poison = fault.poison;
-      poison_site = fault.poison_site;
+      fault = options_.fault_injector->hit(
+          comm::Seam::kRender, owner_rank_ < 0 ? 0 : owner_rank_, ordinal);
     }
-    Batch batch = render_faulted(mine, poison, poison_site);
+    Batch batch = render_faulted(mine, fault);
     static auto& exposed_sync =
         obs::MetricsRegistry::instance().counter("loader.exposed_wait_seconds");
     exposed_sync.add(monotonic_seconds() - t0);
@@ -321,7 +318,7 @@ std::optional<Batch> DataLoader::next() {
           }
         }
         lk.unlock();
-        Batch rescued = render_faulted(want, false, 0);
+        Batch rescued = render_faulted(want, comm::FaultHit{});
         lk.lock();
         if (ready_.count(want) == 0) {
           ready_.emplace(want, std::move(rescued));

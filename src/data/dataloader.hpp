@@ -19,6 +19,7 @@
 
 namespace geofm::comm {
 class FaultInjector;
+struct FaultHit;
 }
 
 namespace geofm::data {
@@ -54,7 +55,7 @@ class DataLoader {
     i64 slice_offset = 0;
     i64 slice_count = -1;  // -1 = the whole batch
     /// Data-path fault seam (chaos campaigns): when set, every batch
-    /// render first consults `fault_injector->before_render(rank,
+    /// render first consults `fault_injector->hit(Seam::kRender, rank,
     /// ordinal)` with the *global* batch ordinal (epoch *
     /// batches_per_epoch + batch index). Injected worker deaths requeue
     /// the claimed batch and respawn a replacement thread (bounded by
@@ -104,9 +105,10 @@ class DataLoader {
   Batch render_batch(i64 batch_index) const;
   Batch render_batch_traced(i64 batch_index) const;
   /// render_batch_traced plus the fault seam's side effects: applies an
-  /// injected poison to one sample row, then (when quarantine is on)
-  /// scans rows for non-finite values, zeroing and recording offenders.
-  Batch render_faulted(i64 batch_index, bool apply_poison, u64 poison_site);
+  /// injected poison in `fault` to one sample row, then (when quarantine
+  /// is on) scans rows for non-finite values, zeroing and recording
+  /// offenders.
+  Batch render_faulted(i64 batch_index, const comm::FaultHit& fault);
   void stop_workers();
 
   const SceneDataset& dataset_;

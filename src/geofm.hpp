@@ -16,8 +16,9 @@
 //   comm/      thread-rank collectives (nonblocking engine + split)
 //   parallel/  DDP and FSDP (all sharding strategies, prefetch modes)
 //   data/      procedural scene datasets (Table II), DataLoader
-//   train/     pretraining, linear probing, checkpoints
-//   ckpt/      sharded checkpoint/restart (async snapshots, resharding)
+//   train/     pretraining, linear probing, distributed + elastic drivers
+//   ckpt/      checkpoints: sharded save/restart (async snapshots,
+//              resharding) and single-file module checkpoints
 //   serve/     frozen-encoder embedding service (hot-reload, batching,
 //              embedding cache, per-tenant linear-probe heads)
 //   sim/       Frontier machine model + training-step simulator
@@ -52,7 +53,6 @@
 #include "serve/heads.hpp"
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
-#include "train/checkpoint.hpp"
 #include "train/distributed.hpp"
 #include "train/elastic.hpp"
 #include "train/linear_probe.hpp"

@@ -2,7 +2,7 @@
 
 #include "ckpt/format.hpp"
 #include "obs/metrics.hpp"
-#include "train/checkpoint.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "util/log.hpp"
 
 namespace geofm::serve {
@@ -66,7 +66,7 @@ void HeadRegistry::load(const std::string& tenant, const std::string& path,
   Rng rng(0);
   auto head =
       std::make_unique<nn::Linear>("probe.head", width, classes, rng, has_bias);
-  train::load_checkpoint(*head, path);
+  ckpt::load_checkpoint(*head, path);
   put(tenant, std::move(head), path);
 }
 

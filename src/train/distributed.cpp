@@ -40,9 +40,7 @@ DistributedPretrainResult pretrain_mae_distributed(
   // Failure model: the injector sits under the communicator (so
   // post-triggered faults cover FSDP's sub-communicators too) and is
   // consulted at the mid-step fault point; the watchdog turns a stalled
-  // rank into a diagnosed group abort instead of a deadlock. The
-  // deprecated fault_hook rides the same path as a one-event callback
-  // plan (not installed at the comm level — hooks are step-point only).
+  // rank into a diagnosed group abort instead of a deadlock.
   if (cfg.fault_injector) {
     comm.install_fault_injector(cfg.fault_injector);
     // The same plan covers the storage path: checkpoint writes, restore
@@ -53,12 +51,6 @@ DistributedPretrainResult pretrain_mae_distributed(
     comm::WatchdogOptions wopts;
     wopts.deadline_seconds = cfg.watchdog_deadline_seconds;
     comm.start_watchdog(wopts);
-  }
-  std::shared_ptr<comm::FaultInjector> legacy_hook;
-  if (cfg.fault_hook) {
-    comm::FaultPlan shim;
-    shim.events.push_back(comm::FaultEvent::callback_every_step(cfg.fault_hook));
-    legacy_hook = std::make_shared<comm::FaultInjector>(std::move(shim));
   }
 
   // Every rank shares one global batch stream (same seed, same shuffle)
@@ -79,7 +71,7 @@ DistributedPretrainResult pretrain_mae_distributed(
   // consumer watchdog + quarantine turned on so the run degrades instead
   // of dying. Ordinal-keyed triggers keep the schedule bitwise across
   // re-renders.
-  if (cfg.fault_injector && cfg.fault_injector->has_loader_events()) {
+  if (cfg.fault_injector && cfg.fault_injector->has(comm::Seam::kRender)) {
     lopts.fault_injector = cfg.fault_injector.get();
     lopts.quarantine_poisoned = true;
     lopts.watchdog_seconds = cfg.loader_watchdog_seconds;
@@ -218,10 +210,14 @@ DistributedPretrainResult pretrain_mae_distributed(
         fsdp.end_backward();
       }
       if (cfg.fault_injector) {
-        cfg.fault_injector->at_step_point(comm, step);
-      }
-      if (legacy_hook) {
-        legacy_hook->at_step_point(comm, step);
+        // Step seam: stalls sleep inside hit(); a kill aborts the group
+        // (waking blocked peers) and unwinds this rank.
+        const comm::FaultHit fault = cfg.fault_injector->hit(
+            comm::Seam::kStep, comm.global_rank(), step);
+        if (fault.has(comm::FaultEvent::Kind::kKill)) {
+          comm.abort(fault.reason, "fault_kill");
+          throw comm::RankKilled(fault.reason, comm.global_rank());
+        }
       }
       {
         obs::TraceScope span("step.optimizer", "optim", "step", step);

@@ -6,7 +6,6 @@
 // paper's prefetch/limit_all_gathers ablations are about.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -66,11 +65,6 @@ struct DistributedPretrainConfig {
   /// the consumer re-renders the batch itself and late duplicates are
   /// discarded. 0 keeps the watchdog off even under a loader-fault plan.
   double loader_watchdog_seconds = 0.25;
-  /// DEPRECATED — thin shim over the fault layer, kept for API
-  /// compatibility: the hook is wrapped in a one-event every-step
-  /// kCallback FaultPlan and fired at the same mid-step fault point.
-  /// New code should build a comm::FaultPlan and set fault_injector.
-  std::function<void(comm::Communicator&, i64 step)> fault_hook;
 
   // ----- checkpoint retention (ckpt::RetentionPolicy) ---------------------
   /// > 0 bounds on-disk checkpoints: keep the last N complete steps...

@@ -548,21 +548,11 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
       if (!all_completed && !pm_dir.empty()) {
         auto& flight = obs::FlightRecorder::instance();
         if (!flight.has_capture()) flight.capture_now(att.failure);
-        // The realized fault schedule rides along in the bundle (minus
-        // unserializable kCallback events), identity-keyed — which is
-        // exactly the replayable form: chaos::plan_from_postmortem turns
-        // the bundle back into a campaign that reproduces this failure.
-        std::string fired_json;
-        {
-          comm::FaultPlan realized;
-          realized.seed = res.fired_plan.seed;
-          for (const auto& e : res.fired_plan.events) {
-            if (e.kind != comm::FaultEvent::Kind::kCallback) {
-              realized.events.push_back(e);
-            }
-          }
-          fired_json = comm::plan_to_json(realized);
-        }
+        // The realized fault schedule rides along in the bundle,
+        // identity-keyed — which is exactly the replayable form:
+        // chaos::plan_from_postmortem turns the bundle back into a
+        // campaign that reproduces this failure.
+        const std::string fired_json = comm::plan_to_json(res.fired_plan);
         try {
           att.postmortem = flight.archive(
               pm_dir, {{"attempt", std::to_string(res.attempts.size())},

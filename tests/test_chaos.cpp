@@ -128,8 +128,8 @@ TEST(ChaosCampaign, KillBudgetAndTargetRangesHold) {
     for (const FaultEvent& e : c.plan.events) {
       if (e.kind == FaultEvent::Kind::kKill) ++kills;
       EXPECT_LT(e.rank, cfg.world) << "seed " << seed;
-      if (e.step >= 0) {
-        EXPECT_LT(e.step, cfg.steps) << "seed " << seed;
+      if (e.seam == comm::Seam::kStep) {
+        EXPECT_LT(e.at, cfg.steps) << "seed " << seed;
       }
     }
     EXPECT_LE(kills, cfg.max_kills) << "seed " << seed;
@@ -152,8 +152,9 @@ TEST(ChaosCampaign, DisabledSubsystemsDrawNoEvents) {
     const chaos::Campaign c = chaos::generate_campaign(cfg);
     EXPECT_TRUE(c.overload_steps.empty()) << "seed " << seed;
     for (const FaultEvent& e : c.plan.events) {
-      EXPECT_TRUE(e.is_loader()) << "seed " << seed << ": non-loader event "
-                                 << static_cast<int>(e.kind);
+      EXPECT_EQ(e.seam, comm::Seam::kRender)
+          << "seed " << seed << ": non-loader event "
+          << comm::kind_name(e.kind);
     }
   }
 }

@@ -22,6 +22,7 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/format.hpp"
+#include "ckpt/io_fault.hpp"
 #include "ckpt/reshard.hpp"
 #include "ckpt/state.hpp"
 #include "comm/communicator.hpp"
@@ -785,7 +786,7 @@ TEST(FaultTolerance, MidRunKillResumesOnUninterruptedTrajectory) {
   ASSERT_EQ(ref_losses.size(), 8u);
 
   // Kill rank 1 mid-step-5 (after backward, before the optimizer step),
-  // through the comm engine's error propagation so the surviving rank's
+  // through the comm engine's abort path so the surviving rank's
   // collectives fail instead of hanging. Checkpoints every 3 steps put
   // the last complete one at step 2; rank 0's own step-5 save can never
   // publish without rank 1's shard.
@@ -793,13 +794,10 @@ TEST(FaultTolerance, MidRunKillResumesOnUninterruptedTrajectory) {
   faulted.checkpoint_every_n_steps = 3;
   faulted.checkpoint_dir = root;
   faulted.async_checkpoint = true;
-  faulted.fault_hook = [](Communicator& c, i64 step) {
-    if (step == 5 && c.rank() == 1) {
-      c.abort("injected fault");
-      throw Error("injected fault at step 5");
-    }
-  };
+  faulted.fault_injector = std::make_shared<comm::FaultInjector>(
+      comm::FaultPlan{0, {comm::FaultEvent::kill_at_step(1, 5)}});
   EXPECT_THROW(run2(faulted), Error);
+  ckpt::install_io_fault_injector(nullptr);
   EXPECT_EQ(ckpt::latest_step(root), 2);
 
   // Resume from the wreckage: picks up at step 3 and reproduces the

@@ -261,7 +261,6 @@ TEST_P(ElasticFaultMatrix, RunsToCompletion) {
       cfg.faults.seed = 7;
       cfg.faults.events.push_back(comm::FaultEvent::corrupt_at_post(1, 3));
       break;
-    case comm::FaultEvent::Kind::kCallback:
     default:  // IO kinds: covered by the StorageFaults suite, not here
       break;
   }

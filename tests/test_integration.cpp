@@ -32,7 +32,7 @@ TEST(Integration, PretrainCheckpointReloadProbe) {
     pc.seed = 11;
     auto result = train::pretrain_mae(mae, corpus, pc);
     EXPECT_LT(result.epoch_losses.back(), result.epoch_losses.front());
-    train::save_checkpoint(mae, path);
+    ckpt::save_checkpoint(mae, path);
 
     train::ProbeConfig probe;
     probe.epochs = 10;
@@ -47,7 +47,7 @@ TEST(Integration, PretrainCheckpointReloadProbe) {
   {
     Rng rng(999);  // different init; checkpoint must fully determine it
     models::MAE mae(cfg, rng);
-    train::load_checkpoint(mae, path);
+    ckpt::load_checkpoint(mae, path);
     train::ProbeConfig probe;
     probe.epochs = 10;
     probe.batch_size = 64;

@@ -9,7 +9,7 @@
 //   * Cache — LRU eviction, hit accounting, and the epoch tag that keeps
 //     a pre-swap embedding from being served as post-swap.
 //   * Heads — per-tenant linear-probe heads round-trip through the
-//     train::save_checkpoint format and hot-swap atomically.
+//     ckpt::save_checkpoint format and hot-swap atomically.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,7 +36,7 @@
 #include "serve/cache.hpp"
 #include "serve/heads.hpp"
 #include "serve/server.hpp"
-#include "train/checkpoint.hpp"
+#include "ckpt/checkpoint.hpp"
 
 namespace geofm {
 namespace {
@@ -315,7 +315,7 @@ TEST(ServeHeads, ProbeCheckpointRoundTripsAndHotSwaps) {
   for (i64 i = 0; i < probe.weight.numel(); ++i) {
     probe.weight.value[i] = 0.01f * static_cast<float>(i % 37);
   }
-  train::save_checkpoint(probe, path);
+  ckpt::save_checkpoint(probe, path);
 
   serve::HeadRegistry reg;
   reg.load("tenant-a", path, /*expect_width=*/kWidth);

@@ -6,7 +6,7 @@
 #include <filesystem>
 
 #include "models/config.hpp"
-#include "train/checkpoint.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "train/linear_probe.hpp"
 #include "train/pretrain.hpp"
 
@@ -98,7 +98,7 @@ TEST(Checkpoint, RoundTripRestoresParameters) {
   const std::string path = "/tmp/geofm_test_ckpt.bin";
   Rng rng(6);
   models::MAE mae(tiny_cfg(), rng);
-  train::save_checkpoint(mae, path);
+  ckpt::save_checkpoint(mae, path);
 
   // Snapshot, perturb, reload, compare.
   std::vector<float> snapshot;
@@ -106,7 +106,7 @@ TEST(Checkpoint, RoundTripRestoresParameters) {
     for (i64 i = 0; i < p->numel(); ++i) snapshot.push_back(p->value[i]);
   }
   for (nn::Parameter* p : mae.parameters()) p->value.fill_(123.f);
-  train::load_checkpoint(mae, path);
+  ckpt::load_checkpoint(mae, path);
   size_t k = 0;
   for (nn::Parameter* p : mae.parameters()) {
     for (i64 i = 0; i < p->numel(); ++i) {
@@ -120,13 +120,13 @@ TEST(Checkpoint, MismatchedModelRejected) {
   const std::string path = "/tmp/geofm_test_ckpt2.bin";
   Rng rng(7);
   models::MAE small(tiny_cfg(), rng);
-  train::save_checkpoint(small, path);
+  ckpt::save_checkpoint(small, path);
 
   auto big_cfg = tiny_cfg();
   big_cfg.encoder.width = 32;
   big_cfg.encoder.mlp_dim = 128;
   models::MAE big(big_cfg, rng);
-  EXPECT_THROW(train::load_checkpoint(big, path), Error);
+  EXPECT_THROW(ckpt::load_checkpoint(big, path), Error);
   std::filesystem::remove(path);
 }
 
@@ -142,14 +142,14 @@ TEST(Checkpoint, ShapeMismatchReportedByParameterName) {
     std::vector<nn::Parameter*> parameters() override { return {&p}; }
   };
   OneParam saved({2, 3}, "enc.blocks.0.attn.w");
-  train::save_checkpoint(saved, path);
+  ckpt::save_checkpoint(saved, path);
 
   // Same element count, transposed shape: the numel-only check of the
   // original loader accepted this silently; it must now be rejected with
   // the offending parameter named.
   OneParam transposed({3, 2}, "enc.blocks.0.attn.w");
   try {
-    train::load_checkpoint(transposed, path);
+    ckpt::load_checkpoint(transposed, path);
     FAIL() << "shape mismatch not detected";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -162,7 +162,7 @@ TEST(Checkpoint, ShapeMismatchReportedByParameterName) {
 TEST(Checkpoint, MissingFileRejected) {
   Rng rng(8);
   models::MAE mae(tiny_cfg(), rng);
-  EXPECT_THROW(train::load_checkpoint(mae, "/tmp/geofm_does_not_exist.bin"),
+  EXPECT_THROW(ckpt::load_checkpoint(mae, "/tmp/geofm_does_not_exist.bin"),
                Error);
 }
 
@@ -177,7 +177,7 @@ TEST(Checkpoint, GarbageFileRejected) {
   }
   Rng rng(9);
   models::MAE mae(tiny_cfg(), rng);
-  EXPECT_THROW(train::load_checkpoint(mae, path), Error);
+  EXPECT_THROW(ckpt::load_checkpoint(mae, path), Error);
   std::filesystem::remove(path);
 }
 
