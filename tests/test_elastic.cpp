@@ -232,6 +232,11 @@ struct MatrixCase {
   ShardingStrategy strategy;
 };
 
+// gtest would print the raw struct bytes, label pointer included, into the
+// listed test names, so the names ctest discovers would change with every
+// load address. The label alone is stable.
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << c.label; }
+
 class ElasticFaultMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(ElasticFaultMatrix, RunsToCompletion) {
