@@ -1,6 +1,6 @@
 // Interleaved scalar-vs-SIMD A/B microbenchmark of the kernel engine
-// (tensor/kernels/): GEMM variants, layernorm and softmax forward +
-// backward, the AdamW update, and patchify.
+// (tensor/kernels/): GEMM variants, layernorm, softmax, fused attention
+// and GELU forward + backward, the AdamW update, and patchify.
 //
 // Methodology: for each case the two modes alternate round-robin
 // (scalar, simd, scalar, simd, ...) so frequency drift, cache state, and
@@ -11,6 +11,7 @@
 //
 // GEOFM_BENCH_QUICK=1 shrinks sizes and rounds for smoke runs.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
@@ -147,6 +148,58 @@ int main() {
                              4 * rows * cols, sreps, [&] {
                                ops::softmax_backward_lastdim(dy, y);
                              }));
+  }
+
+  // --- fused attention fwd/bwd ---------------------------------------------
+  {
+    // The MAE decoder (B*H = 256, 65 tokens, head dim 8) and encoder (17
+    // tokens, head dim 16) shapes of the end-to-end benchmark's mid model.
+    struct Shape {
+      const char* tag;
+      i64 b, heads, t, hd;
+    };
+    for (const Shape& s : {Shape{"dec", 64, 4, 65, 8},
+                           Shape{"enc", 64, 4, 17, 16}}) {
+      const i64 c = s.heads * s.hd;
+      const float scale = 1.f / std::sqrt(static_cast<float>(s.hd));
+      Tensor qkv = Tensor::randn({s.b, s.t, 3 * c}, rng);
+      Tensor ctx({s.b, s.t, c});
+      Tensor lse({s.b * s.heads, s.t});
+      Tensor dctx = Tensor::randn({s.b, s.t, c}, rng);
+      Tensor dqkv({s.b, s.t, 3 * c});
+      kernels::attention_fwd(s.b, s.t, s.heads, s.hd, scale, qkv.data(),
+                             ctx.data(), lse.data());
+      const std::string shape = std::string(s.tag) + " " +
+                                dims({s.b * s.heads, s.t, s.hd});
+      const i64 pairs = s.b * s.heads * s.t * s.t;
+      results.push_back(ab_run("attention_fwd", shape, 4 * pairs * s.hd,
+                               reps, [&] {
+                                 kernels::attention_fwd(
+                                     s.b, s.t, s.heads, s.hd, scale,
+                                     qkv.data(), ctx.data(), lse.data());
+                               }));
+      results.push_back(ab_run("attention_bwd", shape, 10 * pairs * s.hd,
+                               reps, [&] {
+                                 kernels::attention_bwd(
+                                     s.b, s.t, s.heads, s.hd, scale,
+                                     qkv.data(), lse.data(), dctx.data(),
+                                     dqkv.data());
+                               }));
+    }
+  }
+
+  // --- GELU fwd/bwd --------------------------------------------------------
+  {
+    // The mid model's decoder MLP hidden activations: 64 images x 65
+    // tokens x 128.
+    const i64 rows = 4160, cols = 128;
+    Tensor x = Tensor::randn({rows, cols}, rng);
+    Tensor dy = Tensor::randn({rows, cols}, rng);
+    results.push_back(ab_run("gelu_fwd", dims({rows, cols}), 9 * rows * cols,
+                             reps, [&] { ops::gelu(x); }));
+    results.push_back(ab_run("gelu_bwd", dims({rows, cols}),
+                             18 * rows * cols, reps,
+                             [&] { ops::gelu_backward(dy, x); }));
   }
 
   // --- AdamW update --------------------------------------------------------

@@ -30,9 +30,11 @@ echo "== kernel engine: scalar-oracle cross-check =="
 # The default build above ran everything under the SIMD kernel engine
 # (GEOFM_KERNELS default). Re-run the kernel-facing suites against the
 # scalar oracle so both sides of the dispatch seam stay green, plus the
-# parity suite which compares the two implementations directly.
+# parity suite which compares the two implementations directly. The
+# parameterized gradcheck grids carry an instantiation prefix
+# (Shapes/AttentionGrid.*, Widths/BlockGrid.*), hence the leading '*'.
 GEOFM_KERNELS=scalar ./build/tests/geofm_tests \
-    --gtest_filter='Kernel*:Ops.*:Linear.*:LayerNorm.*:Attention.*:Mlp.*:TransformerBlock.*:PatchEmbed.*:AdamW.*:Sgd.*:Lars.*:Mae.*:ViT.*'
+    --gtest_filter='Kernel*:Ops.*:Linear.*:LayerNorm.*:Attention.*:Mlp.*:TransformerBlock.*:*AttentionGrid.*:*BlockGrid.*:PatchEmbed.*:AdamW.*:Sgd.*:Lars.*:Mae.*:ViT.*'
 
 echo "== trace-span budget gate =="
 # Structural perf tripwires: comm wait, unshard, loader fetch, the exposed

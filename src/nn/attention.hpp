@@ -1,6 +1,8 @@
 // Multi-head self-attention (the ViT encoder flavour: fused QKV projection,
 // scaled dot-product, output projection; no attention dropout — the paper's
-// MAE recipe trains without it).
+// MAE recipe trains without it). The scaled dot-product core is one fused
+// kernel (kernels::attention_fwd/bwd) that reads Q/K/V straight from the
+// QKV projection's output and writes the head-concatenated context.
 #pragma once
 
 #include "nn/linear.hpp"
@@ -30,10 +32,11 @@ class MultiHeadSelfAttention : public Module {
   i64 head_dim_;
   float scale_;
 
-  // Forward cache (one in-flight activation set).
-  i64 cached_b_ = 0, cached_t_ = 0;
-  Tensor q_, k_, v_;  // each [B*H, T, Dh]
-  Tensor attn_;       // [B*H, T, T]
+  // Forward cache (one in-flight activation set): the fused QKV output and
+  // each attention row's log-sum-exp, from which the backward recomputes
+  // the attention weights. The context is proj's cached input.
+  Tensor fused_;  // [B, T, 3C]
+  Tensor lse_;    // [B*H, T]
 };
 
 }  // namespace geofm::nn

@@ -7,7 +7,10 @@
 // backward calls exactly where PyTorch's FSDP hooks would fire.
 //
 // Contract for every layer:
-//   * forward(x) caches whatever backward needs (inputs, normalizer stats).
+//   * forward(x) caches whatever backward needs: inputs and per-row
+//     statistics (layernorm mean/rstd, attention log-sum-exp); values
+//     cheaper to recompute than to keep, such as attention weights, are
+//     recomputed in backward.
 //   * backward(dy) ACCUMULATES into parameter .grad tensors and returns
 //     dL/dx. Callers zero grads at step start (Optimizer/zero_grad()).
 //   * backward must be called after the matching forward; layers are not

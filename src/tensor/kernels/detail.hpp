@@ -45,6 +45,24 @@ void scalar_softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
 void simd_softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
                       float* dx);
 
+void scalar_attention_fwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                          const float* qkv, float* ctx, float* lse);
+void simd_attention_fwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                        const float* qkv, float* ctx, float* lse);
+
+void scalar_attention_bwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                          const float* qkv, const float* lse,
+                          const float* dctx, float* dqkv);
+void simd_attention_bwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                        const float* qkv, const float* lse, const float* dctx,
+                        float* dqkv);
+
+void scalar_gelu_fwd(i64 n, const float* x, float* y);
+void simd_gelu_fwd(i64 n, const float* x, float* y);
+
+void scalar_gelu_bwd(i64 n, const float* dy, const float* x, float* dx);
+void simd_gelu_bwd(i64 n, const float* dy, const float* x, float* dx);
+
 void scalar_adamw(i64 n, float* w, const float* g, float* m, float* v,
                   const AdamWConfig& cfg);
 void simd_adamw(i64 n, float* w, const float* g, float* m, float* v,
@@ -59,6 +77,10 @@ void scalar_unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
                        float* out);
 void simd_unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
                      float* out);
+
+/// GELU tanh-approximation constants: sqrt(2/pi) and the cubic coefficient.
+inline constexpr float kGeluC = 0.7978845608028654f;
+inline constexpr float kGeluA = 0.044715f;
 
 /// Lane count baked into the simd_*.cpp translation units (they may be
 /// compiled for a wider ISA than the rest of the library).

@@ -1,5 +1,5 @@
-// Vectorized elementwise kernels: the AdamW parameter update and the
-// patchify/unpatchify layout transforms.
+// Vectorized elementwise kernels: GELU forward/backward, the AdamW
+// parameter update, and the patchify/unpatchify layout transforms.
 //
 // AdamW runs the whole update in fp32 lanes (the oracle's double
 // intermediates exist for clarity, not necessity — the moment buffers and
@@ -32,7 +32,74 @@ inline void copy_row(float* dst, const float* src, i64 n) {
   }
 }
 
+// 1 + tanh(u) and 1 - tanh(u) from e = exp(2u) on the polynomial exp:
+// 2e / (e + 1) and 2 / (e + 1). Neither cancels as tanh saturates, which
+// keeps GELU's negative tail and its derivative accurate. 2u is clamped to
+// +-80, past which both are exact in fp32 (and e + 1 stays normal).
+struct TanhParts {
+  vf one_plus;
+  vf one_minus;
+};
+
+inline TanhParts tanh_parts(vf u) {
+  const vf lim = simd::splat(80.f);
+  vf u2 = u + u;
+  u2 = u2 > lim ? lim : u2;
+  u2 = u2 < -lim ? -lim : u2;
+  const vf e = simd::vexp(u2);
+  const vf s = 2.f / (e + 1.f);
+  return {e * s, s};
+}
+
+// Runs body(i, lanes) over [0, n) in kLanes-wide steps, the last step
+// partial. Chunk boundaries never change an element's arithmetic (the
+// partial step runs the same vector code), so results do not depend on
+// the thread count.
+template <class Body>
+void for_each_vector(i64 n, const Body& body) {
+  parallel_for(
+      n,
+      [&](i64 i0, i64 i1) {
+        for (i64 i = i0; i < i1; i += kLanes) {
+          body(i, std::min<i64>(kLanes, i1 - i));
+        }
+      },
+      row_grain(1));
+}
+
+inline vf load_n(const float* p, i64 n) {
+  return n == kLanes ? simd::load(p) : simd::load_partial(p, n);
+}
+
+inline void store_n(float* p, vf v, i64 n) {
+  if (n == kLanes) {
+    simd::store(p, v);
+  } else {
+    simd::store_partial(p, v, n);
+  }
+}
+
 }  // namespace
+
+void simd_gelu_fwd(i64 n, const float* x, float* y) {
+  for_each_vector(n, [&](i64 i, i64 lanes) {
+    const vf v = load_n(x + i, lanes);
+    const TanhParts t = tanh_parts(kGeluC * (v + kGeluA * v * v * v));
+    store_n(y + i, 0.5f * v * t.one_plus, lanes);
+  });
+}
+
+void simd_gelu_bwd(i64 n, const float* dy, const float* x, float* dx) {
+  for_each_vector(n, [&](i64 i, i64 lanes) {
+    const vf v = load_n(x + i, lanes);
+    const TanhParts t = tanh_parts(kGeluC * (v + kGeluA * v * v * v));
+    const vf dudv = kGeluC * (1.f + 3.f * kGeluA * v * v);
+    // 1 - tanh^2 = (1 + tanh)(1 - tanh).
+    const vf dgelu = 0.5f * t.one_plus +
+                     0.5f * v * (t.one_plus * t.one_minus) * dudv;
+    store_n(dx + i, load_n(dy + i, lanes) * dgelu, lanes);
+  });
+}
 
 void simd_adamw(i64 n, float* w, const float* g, float* m, float* v,
                 const AdamWConfig& cfg) {

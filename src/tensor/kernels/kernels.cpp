@@ -6,11 +6,11 @@
 // string literals, as the trace recorder requires.
 //
 // flops/bytes are model estimates, not measurements: GEMM counts
-// 2*b*m*k*n flops and one touch of each operand; the row-wise kernels
-// count transcendentals as one flop and assume each array is streamed
-// once. They exist to make the spans self-describing (GFLOP/s at a
-// glance) and to feed roofline-style summaries, so consistency matters
-// more than exactness.
+// 2*b*m*k*n flops and one touch of each operand; the row-wise,
+// elementwise and attention kernels count transcendentals as one flop and
+// assume each array is streamed once. They exist to make the spans
+// self-describing (GFLOP/s at a glance) and to feed roofline-style
+// summaries, so consistency matters more than exactness.
 #include <algorithm>
 
 #include "tensor/kernels/kernels.hpp"
@@ -169,6 +169,59 @@ void softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
     detail::simd_softmax_bwd(rows, cols, dy, y, dx);
   } else {
     detail::scalar_softmax_bwd(rows, cols, dy, y, dx);
+  }
+}
+
+void attention_fwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                   const float* qkv, float* ctx, float* lse) {
+  static FamilyCounters fam("attention");
+  // Q K^T and P V, plus the softmax row work; qkv read, ctx + lse written.
+  const i64 rows = b * heads * t;
+  const i64 flops = rows * t * (4 * hd + 5);
+  const i64 bytes = 4 * (4 * b * t * heads * hd + rows);
+  KernelScope scope("kernel.attention", fam, flops, bytes);
+  if (use_simd()) {
+    detail::simd_attention_fwd(b, t, heads, hd, scale, qkv, ctx, lse);
+  } else {
+    detail::scalar_attention_fwd(b, t, heads, hd, scale, qkv, ctx, lse);
+  }
+}
+
+void attention_bwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                   const float* qkv, const float* lse, const float* dctx,
+                   float* dqkv) {
+  static FamilyCounters fam("attention_bwd");
+  // Recomputed Q K^T, then dO V^T, dS K, dS^T Q and P^T dO, plus the
+  // P / dS row work; qkv, lse and dctx read, dqkv written.
+  const i64 rows = b * heads * t;
+  const i64 flops = rows * t * (10 * hd + 8);
+  const i64 bytes = 4 * (7 * b * t * heads * hd + rows);
+  KernelScope scope("kernel.attention_bwd", fam, flops, bytes);
+  if (use_simd()) {
+    detail::simd_attention_bwd(b, t, heads, hd, scale, qkv, lse, dctx, dqkv);
+  } else {
+    detail::scalar_attention_bwd(b, t, heads, hd, scale, qkv, lse, dctx,
+                                 dqkv);
+  }
+}
+
+void gelu_fwd(i64 n, const float* x, float* y) {
+  static FamilyCounters fam("gelu");
+  KernelScope scope("kernel.gelu", fam, /*flops=*/9 * n, 4 * 2 * n);
+  if (use_simd()) {
+    detail::simd_gelu_fwd(n, x, y);
+  } else {
+    detail::scalar_gelu_fwd(n, x, y);
+  }
+}
+
+void gelu_bwd(i64 n, const float* dy, const float* x, float* dx) {
+  static FamilyCounters fam("gelu_bwd");
+  KernelScope scope("kernel.gelu_bwd", fam, /*flops=*/18 * n, 4 * 3 * n);
+  if (use_simd()) {
+    detail::simd_gelu_bwd(n, dy, x, dx);
+  } else {
+    detail::scalar_gelu_bwd(n, dy, x, dx);
   }
 }
 

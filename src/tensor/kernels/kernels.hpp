@@ -7,8 +7,8 @@
 //  * All matrices are fp32. C outputs are row-major; GEMM transposition is
 //    expressed through element strides, so one entry point serves NN/NT/TN
 //    and arbitrary (lda/ldb) padded sub-views.
-//  * `batch` amortizes dispatch + instrumentation over e.g. the per-head
-//    attention GEMMs: one kernel.* span covers the whole batch.
+//  * `batch` runs equally shaped, independent GEMM slices under one
+//    dispatch: one kernel.* span covers the whole batch.
 //  * Every call emits a `kernel.<family>` trace span (category "kernel",
 //    args flops/bytes) and bumps kernel.<family>.{calls,flops,bytes,
 //    seconds} metrics.
@@ -32,7 +32,7 @@ void gemm(i64 batch, i64 m, i64 k, i64 n,
           float* c, i64 c_batch, i64 ldc);
 
 /// Contiguous convenience wrappers over gemm(), physical shapes as in
-/// ops::matmul / ops::bmm:
+/// ops::matmul (per batch slice):
 ///   nn: A[m,k] * B[k,n]          -> C[m,n]
 ///   nt: A[m,k] * B[n,k]^T        -> C[m,n]
 ///   tn: A[m,k]^T * B[m,n]        -> C[k,n]
@@ -63,6 +63,32 @@ void softmax_fwd(i64 rows, i64 cols, const float* x, float* y);
 /// dx = y * (dy - sum(dy*y)) per row.
 void softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
                  float* dx);
+
+// ----- fused multi-head self-attention ---------------------------------------
+
+/// Scaled dot-product attention of every (batch, head) on the fused QKV
+/// layout. qkv is [b, t, 3C] with C = heads * hd and the 3C axis laid out
+/// [which(3)][head][hd] (torch's qkv.reshape(B,T,3,H,Dh)); ctx is [b, t, C]
+/// with heads concatenated. Per head: P = softmax(scale * Q K^T),
+/// ctx = P V. lse is [b*heads, t]: the log-sum-exp of each row of
+/// scale * Q K^T, the only state attention_bwd needs besides qkv.
+void attention_fwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                   const float* qkv, float* ctx, float* lse);
+
+/// Backward of attention_fwd: writes dQ/dK/dV for dctx [b, t, C] into
+/// dqkv [b, t, 3C] (qkv's layout, overwritten). P is recomputed from qkv
+/// and lse; no [t, t] tensor is kept between the two calls.
+void attention_bwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                   const float* qkv, const float* lse, const float* dctx,
+                   float* dqkv);
+
+// ----- elementwise -----------------------------------------------------------
+
+/// GELU, tanh approximation, over n contiguous elements.
+void gelu_fwd(i64 n, const float* x, float* y);
+
+/// dx = dy * GELU'(x) over n contiguous elements.
+void gelu_bwd(i64 n, const float* dy, const float* x, float* dx);
 
 // ----- optimizer -------------------------------------------------------------
 

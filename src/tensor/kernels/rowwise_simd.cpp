@@ -162,43 +162,11 @@ void simd_layernorm_bwd(i64 rows, i64 cols, const float* dy, const float* x,
 
 void simd_softmax_fwd(i64 rows, i64 cols, const float* x, float* y) {
   if (rows <= 0 || cols <= 0) return;
-  const i64 tail = cols % kLanes;
-  const i64 main = cols - tail;
   parallel_for(
       rows,
       [&](i64 r0, i64 r1) {
         for (i64 r = r0; r < r1; ++r) {
-          const float* xi = x + r * cols;
-          float* yi = y + r * cols;
-
-          vf mxv = simd::splat(-std::numeric_limits<float>::infinity());
-          for (i64 c = 0; c < main; c += kLanes) {
-            mxv = simd::vmax(mxv, simd::load(xi + c));
-          }
-          float mx = main > 0 ? simd::hmax(mxv) : xi[0];
-          for (i64 c = main; c < cols; ++c) mx = std::max(mx, xi[c]);
-
-          const vf mxs = simd::splat(mx);
-          vf sumv{};
-          for (i64 c = 0; c < main; c += kLanes) {
-            const vf e = simd::vexp(simd::load(xi + c) - mxs);
-            simd::store(yi + c, e);
-            sumv += e;
-          }
-          float sum = simd::hsum(sumv);
-          if (tail > 0) {
-            vf xt = simd::load_partial(xi + main, tail);
-            vf e = simd::vexp(xt - mxs);
-            for (i64 l = tail; l < kLanes; ++l) e[l] = 0.f;
-            simd::store_partial(yi + main, e, tail);
-            sum += simd::hsum(e);
-          }
-
-          const vf inv = simd::splat(1.f / sum);
-          for (i64 c = 0; c < main; c += kLanes) {
-            simd::store(yi + c, simd::load(yi + c) * inv);
-          }
-          for (i64 c = main; c < cols; ++c) yi[c] *= inv[0];
+          simd::softmax_row(x + r * cols, y + r * cols, cols);
         }
       },
       row_grain(cols));

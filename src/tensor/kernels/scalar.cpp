@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "tensor/kernels/detail.hpp"
 #include "util/thread_pool.hpp"
@@ -230,6 +231,151 @@ void scalar_softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
       float dot = 0.f;
       for (i64 c = 0; c < cols; ++c) dot += dyi[c] * yi[c];
       for (i64 c = 0; c < cols; ++c) dxi[c] = yi[c] * (dyi[c] - dot);
+    }
+  });
+}
+
+// ----- attention -------------------------------------------------------------
+//
+// The seed's unfused composition per (batch, head) — bmm_nt, scale_,
+// softmax, bmm, and in the backward bmm_nt/bmm_tn, softmax backward,
+// scale_, bmm/bmm_tn — with each step's scalar GEMM or softmax loop
+// reading Q/K/V and writing results at their fused-layout offsets instead
+// of through head split/merge copies. The arithmetic is the seed's bit for
+// bit. The backward recomputes P with the same softmax row rather than
+// from lse, which keeps it on those bits.
+
+namespace {
+
+// Row i of P = softmax(scale * Q K^T) in the seed's order: the NT GEMM
+// dot products, the scale pass, then the softmax row. Returns its lse.
+float seed_softmax_row(const float* qi, const float* k, i64 ld, i64 t, i64 hd,
+                       float scale, float* p) {
+  for (i64 j = 0; j < t; ++j) {
+    const float* kj = k + j * ld;
+    float acc = 0.f;
+    for (i64 e = 0; e < hd; ++e) acc += qi[e] * kj[e];
+    p[j] = acc;
+  }
+  for (i64 j = 0; j < t; ++j) p[j] *= scale;
+  float mx = p[0];
+  for (i64 j = 1; j < t; ++j) mx = std::max(mx, p[j]);
+  float sum = 0.f;
+  for (i64 j = 0; j < t; ++j) {
+    p[j] = std::exp(p[j] - mx);
+    sum += p[j];
+  }
+  const float inv = 1.f / sum;
+  for (i64 j = 0; j < t; ++j) p[j] *= inv;
+  return mx + std::log(sum);
+}
+
+// out[0:hd) = sum_j w[j*ws] * x[j*ldx + 0:hd), j ascending, zero weights
+// skipped: the NN GEMM's saxpy loop (ws = 1) and the TN GEMM's
+// outer-product loop (ws = row stride of the transposed operand).
+void seed_weighted_rows(i64 n, const float* w, i64 ws, const float* x, i64 ldx,
+                        i64 hd, float* out) {
+  std::fill_n(out, hd, 0.f);
+  for (i64 j = 0; j < n; ++j) {
+    const float a = w[j * ws];
+    if (a == 0.f) continue;
+    const float* xj = x + j * ldx;
+    for (i64 e = 0; e < hd; ++e) out[e] += a * xj[e];
+  }
+}
+
+}  // namespace
+
+void scalar_attention_fwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                          const float* qkv, float* ctx, float* lse) {
+  const i64 c = heads * hd, ld = 3 * c;
+  parallel_for(b * heads, [&](i64 s0, i64 s1) {
+    std::vector<float> p(static_cast<size_t>(t));
+    for (i64 s = s0; s < s1; ++s) {
+      const i64 bi = s / heads, h = s % heads;
+      const float* q = qkv + bi * t * ld + h * hd;
+      float* o = ctx + bi * t * c + h * hd;
+      for (i64 i = 0; i < t; ++i) {
+        lse[s * t + i] =
+            seed_softmax_row(q + i * ld, q + c, ld, t, hd, scale, p.data());
+        seed_weighted_rows(t, p.data(), 1, q + 2 * c, ld, hd, o + i * c);
+      }
+    }
+  }, 1);
+}
+
+void scalar_attention_bwd(i64 b, i64 t, i64 heads, i64 hd, float scale,
+                          const float* qkv, const float* /*lse*/,
+                          const float* dctx, float* dqkv) {
+  const i64 c = heads * hd, ld = 3 * c;
+  parallel_for(b * heads, [&](i64 s0, i64 s1) {
+    std::vector<float> p(static_cast<size_t>(t * t));
+    std::vector<float> ds(p.size());
+    for (i64 s = s0; s < s1; ++s) {
+      const i64 bi = s / heads, h = s % heads;
+      const float* q = qkv + bi * t * ld + h * hd;
+      const float* k = q + c;
+      const float* v = q + 2 * c;
+      const float* dout = dctx + bi * t * c + h * hd;
+      float* dq = dqkv + bi * t * ld + h * hd;
+      float* dk = dq + c;
+      float* dv = dq + 2 * c;
+      for (i64 i = 0; i < t; ++i) {
+        seed_softmax_row(q + i * ld, k, ld, t, hd, scale, &p[i * t]);
+      }
+      // dP = dctx V^T.
+      for (i64 i = 0; i < t; ++i) {
+        for (i64 j = 0; j < t; ++j) {
+          float acc = 0.f;
+          for (i64 e = 0; e < hd; ++e) acc += dout[i * c + e] * v[j * ld + e];
+          ds[i * t + j] = acc;
+        }
+      }
+      // dV = P^T dctx.
+      for (i64 j = 0; j < t; ++j) {
+        seed_weighted_rows(t, &p[j], t, dout, c, hd, dv + j * ld);
+      }
+      // dS = scale * P ⊙ (dP - rowsum(dP ⊙ P)).
+      for (i64 i = 0; i < t; ++i) {
+        float* dsi = &ds[i * t];
+        const float* pi = &p[i * t];
+        float dot = 0.f;
+        for (i64 j = 0; j < t; ++j) dot += dsi[j] * pi[j];
+        for (i64 j = 0; j < t; ++j) dsi[j] = pi[j] * (dsi[j] - dot);
+      }
+      for (float& x : ds) x *= scale;
+      // dQ = dS K, dK = dS^T Q.
+      for (i64 i = 0; i < t; ++i) {
+        seed_weighted_rows(t, &ds[i * t], 1, k, ld, hd, dq + i * ld);
+      }
+      for (i64 j = 0; j < t; ++j) {
+        seed_weighted_rows(t, &ds[j], t, q, ld, hd, dk + j * ld);
+      }
+    }
+  }, 1);
+}
+
+// ----- GELU ------------------------------------------------------------------
+
+void scalar_gelu_fwd(i64 n, const float* x, float* y) {
+  parallel_for(n, [&](i64 i0, i64 i1) {
+    for (i64 i = i0; i < i1; ++i) {
+      const float v = x[i];
+      const float t = std::tanh(kGeluC * (v + kGeluA * v * v * v));
+      y[i] = 0.5f * v * (1.f + t);
+    }
+  });
+}
+
+void scalar_gelu_bwd(i64 n, const float* dy, const float* x, float* dx) {
+  parallel_for(n, [&](i64 i0, i64 i1) {
+    for (i64 i = i0; i < i1; ++i) {
+      const float v = x[i];
+      const float u = kGeluC * (v + kGeluA * v * v * v);
+      const float t = std::tanh(u);
+      const float dudv = kGeluC * (1.f + 3.f * kGeluA * v * v);
+      const float dgelu = 0.5f * (1.f + t) + 0.5f * v * (1.f - t * t) * dudv;
+      dx[i] = dy[i] * dgelu;
     }
   });
 }

@@ -12,6 +12,7 @@
 // compiled code would be an ODR violation.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -55,16 +56,33 @@ inline void store_partial(float* p, vf v, i64 n) {
   std::memcpy(p, &v, static_cast<size_t>(n) * sizeof(float));
 }
 
+// Horizontal reductions fold halves pairwise, log2(kLanes) dependent
+// steps instead of kLanes: a fixed tree, so results stay deterministic.
+typedef float vf8 __attribute__((vector_size(8 * sizeof(float))));
+typedef float vf4 __attribute__((vector_size(4 * sizeof(float))));
+
+template <class Op>
+inline float hreduce(vf v, Op op) {
+#if defined(__AVX512F__)
+  const vf8 v8 = op(__builtin_shufflevector(v, v, 0, 1, 2, 3, 4, 5, 6, 7),
+                    __builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14,
+                                            15));
+#else
+  const vf8 v8 = v;
+#endif
+  const vf4 v4 = op(__builtin_shufflevector(v8, v8, 0, 1, 2, 3),
+                    __builtin_shufflevector(v8, v8, 4, 5, 6, 7));
+  const vf4 v2 = op(v4, __builtin_shufflevector(v4, v4, 2, 3, 2, 3));
+  const vf4 v1 = op(v2, __builtin_shufflevector(v2, v2, 1, 1, 1, 1));
+  return v1[0];
+}
+
 inline float hsum(vf v) {
-  float s = 0.f;
-  for (int l = 0; l < kLanes; ++l) s += v[l];
-  return s;
+  return hreduce(v, [](auto a, auto b) { return a + b; });
 }
 
 inline float hmax(vf v) {
-  float m = v[0];
-  for (int l = 1; l < kLanes; ++l) m = m > v[l] ? m : v[l];
-  return m;
+  return hreduce(v, [](auto a, auto b) { return a > b ? a : b; });
 }
 
 inline vf vmax(vf a, vf b) { return a > b ? a : b; }
@@ -103,6 +121,45 @@ inline vf vexp(vf x) {
   vf scale;
   std::memcpy(&scale, &bits, sizeof(scale));
   return p * scale;
+}
+
+/// A softmax row's maximum and exp-sum: log-sum-exp = max + log(sum).
+struct RowSoftmax {
+  float max;
+  float sum;
+};
+
+/// Numerically stable softmax of one row of `cols` >= 1 floats:
+/// y = exp(x - max) / sum(exp(x - max)). y may alias x. The row body of
+/// the softmax kernel, shared with the fused attention kernel.
+inline RowSoftmax softmax_row(const float* x, float* y, i64 cols) {
+  const i64 tail = cols % kLanes;
+  const i64 main = cols - tail;
+
+  vf mxv = splat(-std::numeric_limits<float>::infinity());
+  for (i64 c = 0; c < main; c += kLanes) mxv = vmax(mxv, load(x + c));
+  float mx = main > 0 ? hmax(mxv) : x[0];
+  for (i64 c = main; c < cols; ++c) mx = std::max(mx, x[c]);
+
+  const vf mxs = splat(mx);
+  vf sumv{};
+  for (i64 c = 0; c < main; c += kLanes) {
+    const vf e = vexp(load(x + c) - mxs);
+    store(y + c, e);
+    sumv += e;
+  }
+  float sum = hsum(sumv);
+  if (tail > 0) {
+    vf e = vexp(load_partial(x + main, tail) - mxs);
+    for (i64 l = tail; l < kLanes; ++l) e[l] = 0.f;
+    store_partial(y + main, e, tail);
+    sum += hsum(e);
+  }
+
+  const vf inv = splat(1.f / sum);
+  for (i64 c = 0; c < main; c += kLanes) store(y + c, load(y + c) * inv);
+  for (i64 c = main; c < cols; ++c) y[c] *= inv[0];
+  return {mx, sum};
 }
 
 // Half-width double vectors for high-precision row statistics (layernorm

@@ -20,13 +20,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// C[k,n] = A[m,k]^T * B[m,n].
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
-/// Batched C[i] = A[i] * B[i] for i in [0, batch): A[batch,m,k], B[batch,k,n].
-Tensor bmm(const Tensor& a, const Tensor& b);
-/// Batched C[i] = A[i] * B[i]^T: A[batch,m,k], B[batch,n,k].
-Tensor bmm_nt(const Tensor& a, const Tensor& b);
-/// Batched C[i] = A[i]^T * B[i]: A[batch,m,k], B[batch,m,n] -> [batch,k,n].
-Tensor bmm_tn(const Tensor& a, const Tensor& b);
-
 // ----- elementwise / broadcast ----------------------------------------------
 
 /// out = a + b (same shape).

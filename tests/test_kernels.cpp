@@ -19,6 +19,7 @@
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace geofm::kernels {
 namespace {
@@ -305,6 +306,289 @@ TEST(KernelParity, SoftmaxBackwardTailShapes) {
     detail::simd_softmax_bwd(rows, cols, dy.data(), y.data(), dxv.data());
     expect_close(dxv, dxs, 1e-5f, 1e-6f, "softmax dx");
   }
+}
+
+// ----- attention -------------------------------------------------------------
+
+struct AttentionShape {
+  i64 b, t, heads, hd;
+  i64 c() const { return heads * hd; }
+  float scale() const { return 1.f / std::sqrt(static_cast<float>(hd)); }
+};
+
+struct AttentionOut {
+  std::vector<float> ctx, lse, dqkv;
+};
+
+// Forward then backward of one implementation; outputs start poisoned so
+// an element the kernel fails to write shows up as a mismatch.
+AttentionOut run_attention(Mode mode, const AttentionShape& s,
+                           const std::vector<float>& qkv,
+                           const std::vector<float>& dctx) {
+  AttentionOut o;
+  o.ctx.assign(static_cast<size_t>(s.b * s.t * s.c()), -7.f);
+  o.lse.assign(static_cast<size_t>(s.b * s.heads * s.t), -7.f);
+  o.dqkv.assign(qkv.size(), -7.f);
+  const bool simd = mode == Mode::kSimd;
+  (simd ? detail::simd_attention_fwd : detail::scalar_attention_fwd)(
+      s.b, s.t, s.heads, s.hd, s.scale(), qkv.data(), o.ctx.data(),
+      o.lse.data());
+  (simd ? detail::simd_attention_bwd : detail::scalar_attention_bwd)(
+      s.b, s.t, s.heads, s.hd, s.scale(), qkv.data(), o.lse.data(),
+      dctx.data(), o.dqkv.data());
+  return o;
+}
+
+void expect_bitwise(const std::vector<float>& a, const std::vector<float>& b,
+                    const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
+      << what;
+}
+
+TEST(KernelParity, AttentionSimdMatchesOracle) {
+  for (i64 t : {1, 5, 17, 65, 66}) {
+    for (i64 hd : {8, 16, 32}) {
+      for (i64 heads : {1, 4}) {
+        const AttentionShape s{2, t, heads, hd};
+        Rng rng(static_cast<u64>(t * 1009 + hd * 31 + heads));
+        const auto qkv = randv(s.b * s.t * 3 * s.c(), rng);
+        const auto dctx = randv(s.b * s.t * s.c(), rng);
+        const AttentionOut ref = run_attention(Mode::kScalar, s, qkv, dctx);
+        const AttentionOut got = run_attention(Mode::kSimd, s, qkv, dctx);
+        SCOPED_TRACE(::testing::Message()
+                     << "t=" << t << " hd=" << hd << " heads=" << heads);
+        expect_close(got.ctx, ref.ctx, 1e-4f, 1e-5f, "attention ctx");
+        expect_close(got.lse, ref.lse, 1e-5f, 1e-5f, "attention lse");
+        expect_close(got.dqkv, ref.dqkv, 1e-3f, 1e-5f, "attention dqkv");
+      }
+    }
+  }
+}
+
+TEST(KernelParity, AttentionBatchedMatchesPerSampleBitwise) {
+  // Serving's batched-equals-single guarantee: each sample of a batch-8
+  // call is bitwise its own single-sample call, and repeats are bitwise.
+  for (const AttentionShape s : {AttentionShape{8, 65, 4, 8},
+                                 AttentionShape{8, 17, 4, 16}}) {
+    Rng rng(static_cast<u64>(s.t + s.hd));
+    const auto qkv = randv(s.b * s.t * 3 * s.c(), rng);
+    const auto dctx = randv(s.b * s.t * s.c(), rng);
+    for (Mode mode : {Mode::kScalar, Mode::kSimd}) {
+      SCOPED_TRACE(mode_name(mode));
+      const AttentionOut batched = run_attention(mode, s, qkv, dctx);
+      const AttentionOut again = run_attention(mode, s, qkv, dctx);
+      expect_bitwise(again.ctx, batched.ctx, "repeat ctx");
+      expect_bitwise(again.lse, batched.lse, "repeat lse");
+      expect_bitwise(again.dqkv, batched.dqkv, "repeat dqkv");
+      const AttentionShape one{1, s.t, s.heads, s.hd};
+      const i64 n_qkv = s.t * 3 * s.c(), n_ctx = s.t * s.c();
+      const i64 n_lse = s.heads * s.t;
+      for (i64 i = 0; i < s.b; ++i) {
+        const std::vector<float> qkv1(qkv.begin() + i * n_qkv,
+                                      qkv.begin() + (i + 1) * n_qkv);
+        const std::vector<float> dctx1(dctx.begin() + i * n_ctx,
+                                       dctx.begin() + (i + 1) * n_ctx);
+        const AttentionOut single = run_attention(mode, one, qkv1, dctx1);
+        expect_bitwise(single.ctx,
+                       {batched.ctx.begin() + i * n_ctx,
+                        batched.ctx.begin() + (i + 1) * n_ctx},
+                       "per-sample ctx");
+        expect_bitwise(single.lse,
+                       {batched.lse.begin() + i * n_lse,
+                        batched.lse.begin() + (i + 1) * n_lse},
+                       "per-sample lse");
+        expect_bitwise(single.dqkv,
+                       {batched.dqkv.begin() + i * n_qkv,
+                        batched.dqkv.begin() + (i + 1) * n_qkv},
+                       "per-sample dqkv");
+      }
+    }
+  }
+}
+
+TEST(KernelParity, AttentionSingleThreadMatchesPoolBitwise) {
+  // A kernel started inside a parallel region runs inline on one thread;
+  // its results must equal the pool-parallel run bit for bit.
+  const AttentionShape s{16, 65, 4, 8};
+  Rng rng(5);
+  const auto qkv = randv(s.b * s.t * 3 * s.c(), rng);
+  const auto dctx = randv(s.b * s.t * s.c(), rng);
+  for (Mode mode : {Mode::kScalar, Mode::kSimd}) {
+    SCOPED_TRACE(mode_name(mode));
+    const AttentionOut pooled = run_attention(mode, s, qkv, dctx);
+    AttentionOut inline_run;
+    ThreadPool::global().parallel_for(
+        2,
+        [&](i64 i0, i64 i1) {
+          if (i0 == 0 && i1 >= 1) {
+            inline_run = run_attention(mode, s, qkv, dctx);
+          }
+        },
+        1);
+    expect_bitwise(inline_run.ctx, pooled.ctx, "single-thread ctx");
+    expect_bitwise(inline_run.lse, pooled.lse, "single-thread lse");
+    expect_bitwise(inline_run.dqkv, pooled.dqkv, "single-thread dqkv");
+  }
+}
+
+// The [t, hd] block of head h, sample bi, at column offset `col` of a
+// fused-layout buffer with row stride `stride`.
+Tensor head_block(const AttentionShape& s, const std::vector<float>& buf,
+                  i64 stride, i64 col, i64 bi) {
+  Tensor out({s.t, s.hd});
+  for (i64 i = 0; i < s.t; ++i) {
+    for (i64 e = 0; e < s.hd; ++e) {
+      out.at({i, e}) = buf[static_cast<size_t>((bi * s.t + i) * stride + col +
+                                               e)];
+    }
+  }
+  return out;
+}
+
+// The per-head reference composition on 2-D tensors: Q/K/V slices of the
+// fused layout, then matmul_nt -> scale -> softmax -> matmul, and the
+// matching backward. In scalar mode it is the oracle's math exactly.
+struct HeadReference {
+  Tensor ctx, dq, dk, dv;
+};
+
+HeadReference per_head_reference(const AttentionShape& s,
+                                 const std::vector<float>& qkv,
+                                 const std::vector<float>& dctx, i64 bi,
+                                 i64 h) {
+  const i64 c = s.c(), ld = 3 * c;
+  const Tensor q = head_block(s, qkv, ld, h * s.hd, bi);
+  const Tensor k = head_block(s, qkv, ld, c + h * s.hd, bi);
+  const Tensor v = head_block(s, qkv, ld, 2 * c + h * s.hd, bi);
+  const Tensor dout = head_block(s, dctx, c, h * s.hd, bi);
+  Tensor scores = ops::matmul_nt(q, k);
+  scores.scale_(s.scale());
+  const Tensor p = ops::softmax_lastdim(scores);
+  HeadReference ref;
+  ref.ctx = ops::matmul(p, v);
+  ref.dv = ops::matmul_tn(p, dout);
+  Tensor ds = ops::softmax_backward_lastdim(ops::matmul_nt(dout, v), p);
+  ds.scale_(s.scale());
+  ref.dq = ops::matmul(ds, k);
+  ref.dk = ops::matmul_tn(ds, q);
+  return ref;
+}
+
+void expect_matches_reference(const Tensor& got, const Tensor& want,
+                              Mode mode, const char* what) {
+  if (mode == Mode::kScalar) {
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                             static_cast<size_t>(got.numel()) * sizeof(float)))
+        << what;
+  } else {
+    EXPECT_TRUE(got.allclose(want, 1e-3f, 1e-5f)) << what;
+  }
+}
+
+TEST(KernelParity, AttentionForwardAgainstPerHeadMatmul) {
+  const AttentionShape s{2, 5, 3, 4};
+  Rng rng(5);
+  const auto qkv = randv(s.b * s.t * 3 * s.c(), rng);
+  const auto dctx = randv(s.b * s.t * s.c(), rng);
+  for (Mode mode : {Mode::kScalar, Mode::kSimd}) {
+    ModeGuard guard(mode);
+    std::vector<float> ctx(dctx.size());
+    std::vector<float> lse(static_cast<size_t>(s.b * s.heads * s.t));
+    attention_fwd(s.b, s.t, s.heads, s.hd, s.scale(), qkv.data(), ctx.data(),
+                  lse.data());
+    for (i64 bi = 0; bi < s.b; ++bi) {
+      for (i64 h = 0; h < s.heads; ++h) {
+        const HeadReference ref = per_head_reference(s, qkv, dctx, bi, h);
+        expect_matches_reference(head_block(s, ctx, s.c(), h * s.hd, bi),
+                                 ref.ctx, mode, "ctx");
+      }
+    }
+  }
+}
+
+TEST(KernelParity, AttentionBackwardAgainstPerHeadMatmul) {
+  const AttentionShape s{2, 6, 2, 5};
+  Rng rng(6);
+  const auto qkv = randv(s.b * s.t * 3 * s.c(), rng);
+  const auto dctx = randv(s.b * s.t * s.c(), rng);
+  for (Mode mode : {Mode::kScalar, Mode::kSimd}) {
+    ModeGuard guard(mode);
+    std::vector<float> ctx(dctx.size());
+    std::vector<float> lse(static_cast<size_t>(s.b * s.heads * s.t));
+    std::vector<float> dqkv(qkv.size(), -7.f);
+    attention_fwd(s.b, s.t, s.heads, s.hd, s.scale(), qkv.data(), ctx.data(),
+                  lse.data());
+    attention_bwd(s.b, s.t, s.heads, s.hd, s.scale(), qkv.data(), lse.data(),
+                  dctx.data(), dqkv.data());
+    const i64 ld = 3 * s.c();
+    for (i64 bi = 0; bi < s.b; ++bi) {
+      for (i64 h = 0; h < s.heads; ++h) {
+        const HeadReference ref = per_head_reference(s, qkv, dctx, bi, h);
+        expect_matches_reference(head_block(s, dqkv, ld, h * s.hd, bi),
+                                 ref.dq, mode, "dq");
+        expect_matches_reference(
+            head_block(s, dqkv, ld, s.c() + h * s.hd, bi), ref.dk, mode,
+            "dk");
+        expect_matches_reference(
+            head_block(s, dqkv, ld, 2 * s.c() + h * s.hd, bi), ref.dv, mode,
+            "dv");
+      }
+    }
+  }
+}
+
+// ----- GELU ------------------------------------------------------------------
+
+TEST(KernelParity, GeluForwardBackwardTailShapes) {
+  std::vector<i64> sizes = tail_sizes();
+  sizes.push_back(40000);  // several pool chunks
+  for (i64 n : sizes) {
+    Rng rng(static_cast<u64>(n) + 101);
+    auto x = randv(n, rng, 3.f);
+    x[0] = 0.f;
+    if (n > 2) {
+      x[1] = 60.f;   // tanh saturates to +1 ...
+      x[2] = -60.f;  // ... and to -1
+    }
+    const auto dy = randv(n, rng);
+    std::vector<float> ys(x.size()), yv(x.size()), dxs(x.size()),
+        dxv(x.size());
+    detail::scalar_gelu_fwd(n, x.data(), ys.data());
+    detail::simd_gelu_fwd(n, x.data(), yv.data());
+    detail::scalar_gelu_bwd(n, dy.data(), x.data(), dxs.data());
+    detail::simd_gelu_bwd(n, dy.data(), x.data(), dxv.data());
+    expect_close(yv, ys, 1e-5f, 1e-6f, "gelu y");
+    // The oracle's 1 - tanh^2 cancels as tanh saturates (~1e-6 absolute
+    // at |x| ~ 4-5); the SIMD side forms (1 + tanh)(1 - tanh) without
+    // cancelling, so it is held to a double-precision reference instead.
+    expect_close(dxv, dxs, 1e-5f, 3e-6f, "gelu dx vs oracle");
+    std::vector<float> dx_ref(x.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double v = x[i];
+      const double c = detail::kGeluC, a = detail::kGeluA;
+      const double t = std::tanh(c * (v + a * v * v * v));
+      const double d = 0.5 * (1 + t) +
+                       0.5 * v * (1 - t * t) * c * (1 + 3 * a * v * v);
+      dx_ref[i] = static_cast<float>(dy[i] * d);
+    }
+    expect_close(dxv, dx_ref, 1e-5f, 1e-6f, "gelu dx vs double");
+  }
+}
+
+TEST(KernelParity, GeluSliceMatchesWholeBitwise) {
+  // An element's result must not depend on where a call (or a pool chunk)
+  // starts relative to the vector width.
+  const i64 n = 1000;
+  Rng rng(77);
+  const auto x = randv(n, rng, 2.f);
+  std::vector<float> whole(x.size()), sliced(x.size());
+  detail::simd_gelu_fwd(n, x.data(), whole.data());
+  for (i64 i0 = 0; i0 < n; i0 += 13) {
+    const i64 len = std::min<i64>(13, n - i0);
+    detail::simd_gelu_fwd(len, x.data() + i0, sliced.data() + i0);
+  }
+  expect_bitwise(sliced, whole, "gelu slices");
 }
 
 // ----- AdamW -----------------------------------------------------------------

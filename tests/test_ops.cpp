@@ -60,50 +60,6 @@ TEST(Ops, LargeMatmulThreadedConsistent) {
   EXPECT_TRUE(ops::matmul(a, b).allclose(naive_matmul(a, b), 1e-3f, 1e-4f));
 }
 
-TEST(Ops, BmmAgainstPerSliceMatmul) {
-  Rng rng(5);
-  Tensor a = Tensor::randn({3, 4, 5}, rng);
-  Tensor b = Tensor::randn({3, 5, 6}, rng);
-  Tensor c = ops::bmm(a, b);
-  for (i64 i = 0; i < 3; ++i) {
-    Tensor ai({4, 5}), bi({5, 6});
-    ai.copy_(a.flat_view(i * 20, 20));
-    bi.copy_(b.flat_view(i * 30, 30));
-    Tensor ci = ops::matmul(ai, bi);
-    Tensor got({4, 6});
-    got.copy_(c.flat_view(i * 24, 24));
-    EXPECT_TRUE(got.allclose(ci, 1e-4f, 1e-5f));
-  }
-}
-
-TEST(Ops, BmmNtAndTnAgainstTransposes) {
-  Rng rng(6);
-  Tensor a = Tensor::randn({2, 3, 4}, rng);
-  Tensor b = Tensor::randn({2, 5, 4}, rng);  // for nt: [batch, n, k]
-  Tensor c_nt = ops::bmm_nt(a, b);           // [2,3,5]
-  for (i64 i = 0; i < 2; ++i) {
-    Tensor ai({3, 4}), bi({5, 4});
-    ai.copy_(a.flat_view(i * 12, 12));
-    bi.copy_(b.flat_view(i * 20, 20));
-    Tensor expect = ops::matmul_nt(ai, bi);
-    Tensor got({3, 5});
-    got.copy_(c_nt.flat_view(i * 15, 15));
-    EXPECT_TRUE(got.allclose(expect, 1e-4f, 1e-5f));
-  }
-
-  Tensor d = Tensor::randn({2, 3, 6}, rng);  // for tn: [batch, m, n]
-  Tensor c_tn = ops::bmm_tn(a, d);           // [2,4,6]
-  for (i64 i = 0; i < 2; ++i) {
-    Tensor ai({3, 4}), di({3, 6});
-    ai.copy_(a.flat_view(i * 12, 12));
-    di.copy_(d.flat_view(i * 18, 18));
-    Tensor expect = ops::matmul_tn(ai, di);
-    Tensor got({4, 6});
-    got.copy_(c_tn.flat_view(i * 24, 24));
-    EXPECT_TRUE(got.allclose(expect, 1e-4f, 1e-5f));
-  }
-}
-
 TEST(Ops, SoftmaxRowsSumToOneAndOrderPreserved) {
   Rng rng(7);
   Tensor x = Tensor::randn({10, 17}, rng, 3.f);

@@ -28,7 +28,10 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, AttentionGrid,
     ::testing::Values(std::tuple{8, 1, 3}, std::tuple{8, 2, 5},
                       std::tuple{16, 4, 4}, std::tuple{24, 3, 2},
-                      std::tuple{32, 8, 6}));
+                      std::tuple{32, 8, 6},
+                      // head dims 8 and 16 at 17 tokens: the SIMD key tail
+                      // and the half- and full-width head-dim chunks.
+                      std::tuple{16, 2, 17}, std::tuple{32, 2, 17}));
 
 TEST_P(AttentionGrid, GradCheck) {
   const auto [dim, heads, seq] = GetParam();
