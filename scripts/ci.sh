@@ -90,6 +90,13 @@ if [[ "$SKIP_TSAN" == "0" ]]; then
   # dispatch modes.
   ./build-tsan/tests/geofm_tests --gtest_filter='Kernel*:ThreadPool.*'
   GEOFM_KERNELS=scalar ./build-tsan/tests/geofm_tests --gtest_filter='Kernel*'
+  echo "== TSan: FSDP step plan, extra schedules =="
+  # Forward lookahead and HYBRID wait-then-post chaining keep several
+  # collectives per rank in flight across two sub-communicators; repeat
+  # the FSDP suites for schedule diversity.
+  ./build-tsan/tests/geofm_tests \
+      --gtest_filter='*FsdpEquivalence.*:FsdpSchedule.*:FsdpLimiter.*:FsdpPlan.*' \
+      --gtest_repeat=3
   echo "== TSan: fault-injected restart, extra schedules =="
   # The abort -> unwind -> async-writer-drain -> resume path is the most
   # concurrency-dense sequence in the repo; ctest above ran it once, this

@@ -8,46 +8,6 @@
 
 namespace geofm::parallel {
 
-std::string to_string(ShardingStrategy s) {
-  switch (s) {
-    case ShardingStrategy::kNoShard: return "NO_SHARD";
-    case ShardingStrategy::kFullShard: return "FULL_SHARD";
-    case ShardingStrategy::kShardGradOp: return "SHARD_GRAD_OP";
-    case ShardingStrategy::kHybridShard: return "HYBRID_SHARD";
-  }
-  return "?";
-}
-
-std::string to_string(BackwardPrefetch p) {
-  switch (p) {
-    case BackwardPrefetch::kNone: return "None";
-    case BackwardPrefetch::kBackwardPost: return "BACKWARD_POST";
-    case BackwardPrefetch::kBackwardPre: return "BACKWARD_PRE";
-  }
-  return "?";
-}
-
-namespace {
-
-int shard_group_size_for(const FsdpOptions& opts, int world) {
-  switch (opts.strategy) {
-    case ShardingStrategy::kNoShard:
-      return 1;
-    case ShardingStrategy::kFullShard:
-    case ShardingStrategy::kShardGradOp:
-      return world;
-    case ShardingStrategy::kHybridShard:
-      GEOFM_CHECK(opts.hybrid_group_size >= 1 &&
-                      world % opts.hybrid_group_size == 0,
-                  "hybrid_group_size " << opts.hybrid_group_size
-                                       << " must divide world " << world);
-      return opts.hybrid_group_size;
-  }
-  return 1;
-}
-
-}  // namespace
-
 Fsdp::Fsdp(nn::StagedModel& model, comm::Communicator world,
            FsdpOptions options)
     : model_(model), world_(world), options_(options) {
@@ -72,15 +32,17 @@ Fsdp::Fsdp(nn::StagedModel& model, comm::Communicator world,
   // Shard immediately, as PyTorch FSDP does at wrap time: from here on the
   // local shard is authoritative and every step runs the steady-state
   // gather schedule (the first step is not special).
-  for (size_t i = 0; i < units_.size(); ++i) {
-    reshard(units_[i], static_cast<int>(i));
-  }
-  reshard(root_, -1);
+  drop_full_parameters();
 
-  hooks_.before_forward = [this](int s) { on_before_forward(s); };
-  hooks_.after_forward = [this](int s) { on_after_forward(s); };
-  hooks_.before_backward = [this](int s) { on_before_backward(s); };
-  hooks_.after_backward = [this](int s) { on_after_backward(s); };
+  plan_ = plan_step(n_units(), options_, shard_comm_->size(),
+                    replica_comm_->size());
+  auto run = [this](StepHook hook) {
+    return [this, hook](int stage) { run_point(hook, stage); };
+  };
+  hooks_.before_forward = run(StepHook::kBeforeForward);
+  hooks_.after_forward = run(StepHook::kAfterForward);
+  hooks_.before_backward = run(StepHook::kBeforeBackward);
+  hooks_.after_backward = run(StepHook::kAfterBackward);
   model_.install_stage_hooks(&hooks_);
 }
 
@@ -128,14 +90,13 @@ void Fsdp::build_unit(Unit& unit, std::vector<nn::Parameter*> params,
         unit.full.flat_view(static_cast<i64>(shard_comm_->rank()) * unit.chunk,
                             unit.chunk));
     unit.shard_grad = Tensor::zeros({unit.chunk});
-    unit.unsharded = true;  // `full` currently holds valid parameters
   } else {
     // Degenerate sharding group: the "shard" aliases the full buffer, so
     // optimizer steps write through and no gather is ever needed.
     unit.shard = unit.full.flat_view(0, unit.padded);
     unit.shard_grad = unit.full_grad.flat_view(0, unit.padded);
-    unit.unsharded = true;
   }
+  unit.unsharded = true;  // `full` currently holds valid parameters
 
   unit.opt_param.name = name;
   unit.opt_param.value = unit.shard;
@@ -147,23 +108,18 @@ void Fsdp::unshard(Unit& unit, int unit_index) {
   if (shard_comm_->size() > 1) {
     obs::TraceScope span("fsdp.unshard", "fsdp", "unit", unit_index, "bytes",
                          unit.padded * static_cast<i64>(sizeof(float)));
-    if (unit_index >= 0) {
-      // Functional limit_all_gathers: block issuing once the cap of
-      // in-flight stage gathers is reached, by retiring the oldest
-      // outstanding gather first (all ranks do this in the same order, so
-      // matching stays deterministic).
-      if (options_.limit_all_gathers) {
-        while (static_cast<int>(outstanding_gathers_.size()) >=
-               kAllGatherInflightCap) {
-          obs::TraceScope stall("fsdp.limiter.stall", "fsdp", "unit",
-                                outstanding_gathers_.front());
-          static auto& stalls =
-              obs::MetricsRegistry::instance().counter("fsdp.limiter_stalls");
-          stalls.add(1);
-          const int oldest = outstanding_gathers_.front();
-          ensure_ready(unit_at(oldest), oldest);
-        }
-      }
+    // Functional limit_all_gathers: before issuing a stage gather past the
+    // cap, retire the oldest outstanding one (all ranks do this in the same
+    // order, so matching stays deterministic).
+    const bool limited = unit_index >= 0 && options_.limit_all_gathers;
+    while (limited && static_cast<int>(outstanding_gathers_.size()) >=
+                          kAllGatherInflightCap) {
+      const int oldest = outstanding_gathers_.front();
+      obs::TraceScope stall("fsdp.limiter.stall", "fsdp", "unit", oldest);
+      static auto& stalls =
+          obs::MetricsRegistry::instance().counter("fsdp.limiter_stalls");
+      stalls.add(1);
+      ensure_ready(unit_at(oldest), oldest);
     }
     unit.gather = shard_comm_->iall_gather(unit.shard, unit.full);
     schedule_.push_back(
@@ -184,11 +140,7 @@ void Fsdp::ensure_ready(Unit& unit, int unit_index) {
   if (!unit.gather.pending()) return;
   obs::TraceScope span("fsdp.gather.wait", "fsdp", "unit", unit_index);
   unit.gather.wait(&stats_);
-  if (unit_index >= 0) {
-    auto it = std::find(outstanding_gathers_.begin(),
-                        outstanding_gathers_.end(), unit_index);
-    if (it != outstanding_gathers_.end()) outstanding_gathers_.erase(it);
-  }
+  std::erase(outstanding_gathers_, unit_index);
 }
 
 void Fsdp::reshard(Unit& unit, int unit_index) {
@@ -207,93 +159,90 @@ void Fsdp::reshard(Unit& unit, int unit_index) {
   // Degenerate group: parameters live in `full` permanently; nothing to do.
 }
 
-void Fsdp::launch_reduce(Unit& unit, int unit_index) {
-  const bool shard_active = shard_comm_->size() > 1;
-  const bool replica_active = replica_comm_->size() > 1;
-  obs::TraceScope span("fsdp.reduce.issue", "fsdp", "unit", unit_index);
-  if (shard_active) {
-    unit.reduce_scatter = shard_comm_->ireduce_scatter(
-        unit.full_grad, unit.shard_grad, comm::ReduceOp::kSum);
-    schedule_.push_back(
-        {FsdpEvent::Type::kReduceScatter, unit_index, unit.padded});
-    // A replica all-reduce consumes the reduce-scatter's output, so it is
-    // chained when the reduce-scatter is drained in end_backward().
-    pending_reductions_.push_back(unit_index);
-  } else if (replica_active) {
-    unit.all_reduce =
-        replica_comm_->iall_reduce(unit.shard_grad, comm::ReduceOp::kSum);
-    schedule_.push_back(
-        {FsdpEvent::Type::kAllReduce, unit_index, unit.chunk});
-    pending_reductions_.push_back(unit_index);
+void Fsdp::run_point(StepHook hook, int stage) {
+  if (cursor_ >= plan_.size() || plan_[cursor_].hook != hook ||
+      plan_[cursor_].stage != stage) {
+    throw HookOrderError("FSDP hook " + to_string(hook) + "(" +
+                         std::to_string(stage) +
+                         ") fired out of step-plan order");
+  }
+  for (const StepOp& op : plan_[cursor_].ops) run_op(op);
+  ++cursor_;
+}
+
+void Fsdp::run_op(const StepOp& op) {
+  Unit& unit = unit_at(op.unit);
+  switch (op.type) {
+    case StepOp::Type::kGatherPost:
+      unshard(unit, op.unit);
+      break;
+    case StepOp::Type::kGatherWait:
+      ensure_ready(unit, op.unit);
+      break;
+    case StepOp::Type::kReshard:
+      reshard(unit, op.unit);
+      break;
+    case StepOp::Type::kReduceScatterPost: {
+      obs::TraceScope span("fsdp.reduce.issue", "fsdp", "unit", op.unit);
+      unit.reduce_scatter = shard_comm_->ireduce_scatter(
+          unit.full_grad, unit.shard_grad, comm::ReduceOp::kSum);
+      schedule_.push_back(
+          {FsdpEvent::Type::kReduceScatter, op.unit, unit.padded});
+      break;
+    }
+    case StepOp::Type::kReplicaAllReducePost:
+      // The all-reduce consumes the reduce-scatter's output.
+      unit.reduce_scatter.wait(&stats_);
+      [[fallthrough]];
+    case StepOp::Type::kAllReducePost: {
+      obs::TraceScope span("fsdp.reduce.issue", "fsdp", "unit", op.unit);
+      unit.all_reduce =
+          replica_comm_->iall_reduce(unit.shard_grad, comm::ReduceOp::kSum);
+      schedule_.push_back({FsdpEvent::Type::kAllReduce, op.unit, unit.chunk});
+      break;
+    }
+    case StepOp::Type::kDrain:
+      drain_reductions();
+      break;
   }
 }
 
 void Fsdp::drain_reductions() {
-  obs::TraceScope span("fsdp.drain_reductions", "fsdp", "pending",
-                       static_cast<i64>(pending_reductions_.size()));
-  const bool shard_active = shard_comm_->size() > 1;
-  const bool replica_active = replica_comm_->size() > 1;
-
-  if (shard_active && replica_active) {
-    // HYBRID: chain each unit's replica all-reduce onto its completed
-    // reduce-scatter, in issue order on every rank.
-    for (int idx : pending_reductions_) {
-      Unit& unit = unit_at(idx);
-      unit.reduce_scatter.wait(&stats_);
-      unit.all_reduce =
-          replica_comm_->iall_reduce(unit.shard_grad, comm::ReduceOp::kSum);
-      schedule_.push_back({FsdpEvent::Type::kAllReduce, idx, unit.chunk});
-    }
-  }
-  for (int idx : pending_reductions_) {
-    Unit& unit = unit_at(idx);
+  obs::TraceScope span("fsdp.drain_reductions", "fsdp");
+  // Every unit reduces once per step: wait them in posting order (stages
+  // last to first, then the root) and average over the data-parallel world.
+  for (int u = n_units() - 1; u >= -1; --u) {
+    Unit& unit = unit_at(u);
     unit.reduce_scatter.wait(&stats_);
     unit.all_reduce.wait(&stats_);
-    // Average over the global data-parallel world.
     if (world_.size() > 1) {
       unit.shard_grad.scale_(1.f / static_cast<float>(world_.size()));
     }
   }
-  pending_reductions_.clear();
 }
 
 void Fsdp::begin_step() {
   obs::TraceScope span("fsdp.begin_step", "fsdp");
+  // A new step always starts at the plan's first point, also after a step
+  // that an exception abandoned.
+  cursor_ = 0;
   schedule_.clear();
   unsharded_count_ = 0;
   peak_unsharded_ = 0;
   peak_inflight_gathers_ = 0;
   stats_.reset();
 
-  for (auto& unit : units_) unit.full_grad.zero_();
-  root_.full_grad.zero_();
-  for (auto& unit : units_) {
-    if (shard_comm_->size() > 1) unit.shard_grad.zero_();
-  }
-  if (shard_comm_->size() > 1) root_.shard_grad.zero_();
-
-  // Root parameters are needed across the whole step.
-  unshard(root_, -1);
-
-  // SHARD_GRAD_OP gathers every unit up front ("parameters are sharded
-  // outside computation"); the gathers stay in flight (subject to the rate
-  // limiter) and are waited as each stage's compute reaches them.
-  if (options_.strategy == ShardingStrategy::kShardGradOp) {
-    for (size_t i = 0; i < units_.size(); ++i) {
-      unshard(units_[i], static_cast<int>(i));
-    }
+  for (int u = -1; u < n_units(); ++u) {
+    unit_at(u).full_grad.zero_();
+    if (shard_comm_->size() > 1) unit_at(u).shard_grad.zero_();
   }
 
-  // The model reads root parameters (patch embed, cls) before the first
-  // stage hook fires, so the root gather cannot stay in flight.
-  ensure_ready(root_, -1);
+  run_point(StepHook::kBeginStep, -1);
 }
 
 void Fsdp::end_backward() {
   obs::TraceScope span("fsdp.end_backward", "fsdp");
-  launch_reduce(root_, -1);
-  drain_reductions();
-  reshard(root_, -1);
+  run_point(StepHook::kEndBackward, -1);
   static auto& exposed = obs::MetricsRegistry::instance().histogram(
       "fsdp.step.exposed_wait_seconds");
   static auto& peak = obs::MetricsRegistry::instance().gauge(
@@ -302,52 +251,9 @@ void Fsdp::end_backward() {
   peak.set_max(peak_inflight_gathers_);
 }
 
-void Fsdp::on_before_forward(int stage) {
-  Unit& unit = units_[static_cast<size_t>(stage)];
-  unshard(unit, stage);
-  ensure_ready(unit, stage);
-}
-
-void Fsdp::on_after_forward(int stage) {
-  // FULL_SHARD and HYBRID free parameters between forward and backward;
-  // SHARD_GRAD_OP and NO_SHARD keep them resident.
-  if (options_.strategy == ShardingStrategy::kFullShard ||
-      options_.strategy == ShardingStrategy::kHybridShard) {
-    reshard(units_[static_cast<size_t>(stage)], stage);
-  }
-}
-
-void Fsdp::on_before_backward(int stage) {
-  unshard(units_[static_cast<size_t>(stage)], stage);
-  if (options_.prefetch == BackwardPrefetch::kBackwardPre && stage > 0) {
-    // Issue the next-needed gather before this stage's backward compute;
-    // it progresses while this stage computes.
-    unshard(units_[static_cast<size_t>(stage - 1)], stage - 1);
-  }
-  ensure_ready(units_[static_cast<size_t>(stage)], stage);
-}
-
-void Fsdp::on_after_backward(int stage) {
-  if (options_.prefetch == BackwardPrefetch::kBackwardPost && stage > 0) {
-    // Prefetch before this unit's gradient communication is issued.
-    unshard(units_[static_cast<size_t>(stage - 1)], stage - 1);
-  }
-  Unit& unit = units_[static_cast<size_t>(stage)];
-  launch_reduce(unit, stage);
-  if (options_.strategy != ShardingStrategy::kNoShard) {
-    reshard(unit, stage);
-  }
-}
-
 void Fsdp::gather_full_parameters() {
-  unshard(root_, -1);
-  for (size_t i = 0; i < units_.size(); ++i) {
-    unshard(units_[i], static_cast<int>(i));
-  }
-  ensure_ready(root_, -1);
-  for (size_t i = 0; i < units_.size(); ++i) {
-    ensure_ready(units_[i], static_cast<int>(i));
-  }
+  for (int u = -1; u < n_units(); ++u) unshard(unit_at(u), u);
+  for (int u = -1; u < n_units(); ++u) ensure_ready(unit_at(u), u);
 }
 
 std::vector<FsdpUnitLayout> Fsdp::checkpoint_layout() {
@@ -379,10 +285,7 @@ std::vector<FsdpUnitLayout> Fsdp::checkpoint_layout() {
 }
 
 void Fsdp::drop_full_parameters() {
-  for (size_t i = 0; i < units_.size(); ++i) {
-    reshard(units_[i], static_cast<int>(i));
-  }
-  reshard(root_, -1);
+  for (int u = -1; u < n_units(); ++u) reshard(unit_at(u), u);
 }
 
 std::vector<nn::Parameter*> Fsdp::optimizer_parameters() {
@@ -396,12 +299,6 @@ std::vector<nn::Parameter*> Fsdp::optimizer_parameters() {
 i64 Fsdp::shard_elements_per_rank() const {
   i64 n = root_.chunk;
   for (const auto& unit : units_) n += unit.chunk;
-  return n;
-}
-
-i64 Fsdp::max_unit_elements() const {
-  i64 n = root_.padded;
-  for (const auto& unit : units_) n = std::max(n, unit.padded);
   return n;
 }
 

@@ -12,7 +12,7 @@
 //                    stage's forward and backward and freed afterwards;
 //                    grads reduce-scattered per stage.
 //   SHARD_GRAD_OP  — grads/optimizer state sharded; params are gathered
-//                    once at step start and kept until the backward ends
+//                    in forward and kept until the stage's backward ends
 //                    ("sharded outside computation").
 //   HYBRID_SHARD   — FULL_SHARD within a sharding group of `group_size`
 //                    ranks + replication (gradient all-reduce) across
@@ -20,16 +20,15 @@
 //                    semantics through the HYBRID code path, matching the
 //                    paper's separate measurement of the two.
 //
-// Communication is asynchronous and overlaps compute: unshard() issues a
-// nonblocking all-gather and the parameters are only waited for when the
-// stage's compute is about to use them (BACKWARD_PRE/POST prefetch turn
-// into genuinely concurrent gathers); per-stage gradient reduce-scatters
-// are issued from the backward hooks and drained in end_backward(), so
-// they overlap the remaining backward compute. `limit_all_gathers` is
-// enforced functionally: issuing a new stage gather blocks (waits on the
-// oldest outstanding gather) once 2 are in flight, PyTorch's rate-limiter
-// semantics. The recorded `FsdpEvent` schedule (events at issue time) is
-// unchanged and remains the contract the performance simulator executes.
+// What runs when is decided once, by the step plan (parallel/step_plan.hpp)
+// that the simulator also times: each hook runs the ops of its plan point,
+// in plan order, or throws HookOrderError. Gathers and reductions are
+// nonblocking and waited only where the plan needs them, so communication
+// overlaps compute: forward gathers run kAllGatherInflightCap units ahead
+// (all at step start with the limiter off), and HYBRID chains each replica
+// all-reduce onto its reduce-scatter one stage later. unshard() also enforces `limit_all_gathers` itself
+// (waits the oldest gather past kAllGatherInflightCap in flight); the plan
+// never reaches that bound, gather_full_parameters() relies on it.
 #pragma once
 
 #include <deque>
@@ -38,36 +37,16 @@
 
 #include "comm/communicator.hpp"
 #include "nn/staged_model.hpp"
+#include "parallel/step_plan.hpp"
 
 namespace geofm::parallel {
 
-enum class ShardingStrategy {
-  kNoShard,
-  kFullShard,
-  kShardGradOp,
-  kHybridShard,
+/// Thrown when a stage hook fires at a point the step plan does not expect
+/// next (e.g. a forward without begin_step(), or stages out of order).
+class HookOrderError : public Error {
+ public:
+  using Error::Error;
 };
-
-enum class BackwardPrefetch { kNone, kBackwardPost, kBackwardPre };
-
-std::string to_string(ShardingStrategy s);
-std::string to_string(BackwardPrefetch p);
-
-struct FsdpOptions {
-  ShardingStrategy strategy = ShardingStrategy::kFullShard;
-  /// Ranks per sharding group for HYBRID_SHARD (e.g. 2 for HYBRID_2GPUs).
-  /// Must divide the world size. Ignored by other strategies.
-  int hybrid_group_size = 1;
-  BackwardPrefetch prefetch = BackwardPrefetch::kBackwardPre;
-  /// Rate-limit in-flight all-gathers (paper's limit_all_gathers): when
-  /// enabled, issuing a stage gather while 2 are already outstanding first
-  /// waits on the oldest one. Enforced functionally by the async runtime
-  /// (and mirrored by the simulator's cost model).
-  bool limit_all_gathers = true;
-};
-
-/// In-flight stage all-gathers the rate limiter allows when enabled.
-inline constexpr int kAllGatherInflightCap = 2;
 
 /// One contiguous run of a logical model parameter inside a rank's owned
 /// flat shard (checkpoint support). Padding elements carry no ranges.
@@ -90,7 +69,7 @@ struct FsdpUnitLayout {
   std::vector<FsdpParamRange> ranges;
 };
 
-/// One step-schedule entry, for tests and for the performance simulator.
+/// One recorded communication event of a step (see last_schedule()).
 struct FsdpEvent {
   enum class Type {
     kAllGather,      // unshard a unit's parameters
@@ -116,9 +95,9 @@ class Fsdp {
   Fsdp(const Fsdp&) = delete;
   Fsdp& operator=(const Fsdp&) = delete;
 
-  /// Call before each forward: zeroes gradients, gathers what the strategy
-  /// needs up front (root always; all units for SHARD_GRAD_OP/NO_SHARD),
-  /// and resets the event schedule and overlap counters.
+  /// Call before each forward: starts the step plan from its first point,
+  /// zeroes gradients, resets the event schedule and overlap counters, and
+  /// runs the plan's begin_step ops (root gather and the forward lookahead).
   void begin_step();
 
   /// Call after the model's backward: reduces root-unit gradients and
@@ -158,8 +137,6 @@ class Fsdp {
 
   /// Persistent per-rank parameter storage in elements (the sharded size).
   i64 shard_elements_per_rank() const;
-  /// Elements of the largest single unit (peak transient gather target).
-  i64 max_unit_elements() const;
   /// Peak number of simultaneously unsharded stage units last step.
   int peak_unsharded_units() const { return peak_unsharded_; }
   /// Peak number of stage all-gathers simultaneously in flight (issued but
@@ -189,11 +166,6 @@ class Fsdp {
     comm::CollectiveHandle all_reduce;     // outstanding replica all-reduce
   };
 
-  bool sharded() const {
-    return options_.strategy != ShardingStrategy::kNoShard &&
-           shard_comm_->size() > 1;
-  }
-
   void build_unit(Unit& unit, std::vector<nn::Parameter*> params,
                   const std::string& name);
   Unit& unit_at(int unit_index) {
@@ -205,15 +177,12 @@ class Fsdp {
   /// Blocks until the unit's gathered parameters are usable.
   void ensure_ready(Unit& unit, int unit_index);
   void reshard(Unit& unit, int unit_index);
-  /// Issues the unit's gradient reduction (reduce-scatter and/or replica
-  /// all-reduce) without waiting; drained by drain_reductions().
-  void launch_reduce(Unit& unit, int unit_index);
+  /// Runs the ops of the plan point `hook`/`stage`, which must be the next
+  /// point of the step plan.
+  void run_point(StepHook hook, int stage);
+  void run_op(const StepOp& op);
+  /// Waits every unit's reductions and averages the gradients.
   void drain_reductions();
-
-  void on_before_forward(int stage);
-  void on_after_forward(int stage);
-  void on_before_backward(int stage);
-  void on_after_backward(int stage);
 
   nn::StagedModel& model_;
   comm::Communicator world_;
@@ -225,6 +194,8 @@ class Fsdp {
   std::vector<Unit> units_;  // one per stage
   Unit root_;
   nn::StageHooks hooks_;
+  StepPlan plan_;
+  size_t cursor_ = 0;  // next plan point
 
   std::vector<FsdpEvent> schedule_;
   int unsharded_count_ = 0;
@@ -233,8 +204,6 @@ class Fsdp {
   // Stage gathers issued but not yet waited, oldest first (limiter queue).
   std::deque<int> outstanding_gathers_;
   int peak_inflight_gathers_ = 0;
-  // Units with in-flight gradient reductions, in issue order.
-  std::vector<int> pending_reductions_;
   comm::CommStats stats_;
 };
 

@@ -5,7 +5,6 @@
 
 namespace geofm::sim {
 
-using parallel::BackwardPrefetch;
 using parallel::ShardingStrategy;
 
 std::string to_string(ParallelPlan::Kind k) {
@@ -22,25 +21,9 @@ TrainingSimulator::TrainingSimulator(StepWorkload workload,
   GEOFM_CHECK(nodes_ >= 1);
   const int world = world_size();
 
-  if (plan_.kind == ParallelPlan::Kind::kDdp) {
-    shard_group_size_ = 1;
-  } else {
-    switch (plan_.fsdp.strategy) {
-      case ShardingStrategy::kNoShard:
-        shard_group_size_ = 1;
-        break;
-      case ShardingStrategy::kFullShard:
-      case ShardingStrategy::kShardGradOp:
-        shard_group_size_ = world;
-        break;
-      case ShardingStrategy::kHybridShard:
-        GEOFM_CHECK(plan_.fsdp.hybrid_group_size >= 1 &&
-                        world % plan_.fsdp.hybrid_group_size == 0,
-                    "hybrid group must divide world");
-        shard_group_size_ = plan_.fsdp.hybrid_group_size;
-        break;
-    }
-  }
+  shard_group_size_ = plan_.kind == ParallelPlan::Kind::kDdp
+                          ? 1
+                          : parallel::shard_group_size_for(plan_.fsdp, world);
   shard_shape_ = shard_group_shape(shard_group_size_, machine_.gpus_per_node);
   replica_shape_ = replica_group_shape(world / shard_group_size_,
                                        shard_group_size_,
@@ -80,158 +63,76 @@ double TrainingSimulator::replica_all_reduce_seconds(i64 elements) const {
   return t;
 }
 
-void TrainingSimulator::build_fsdp_tasks(std::vector<Task>& tasks) const {
+void TrainingSimulator::build_plan_tasks(std::vector<Task>& tasks) const {
   const int n_stages = static_cast<int>(workload_.stages.size());
-  const auto& opts = plan_.fsdp;
-  const bool sharded = shard_group_size_ > 1;
-  const bool per_stage_gather =
-      sharded && (opts.strategy == ShardingStrategy::kFullShard ||
-                  opts.strategy == ShardingStrategy::kHybridShard);
+  const parallel::StepPlan step = parallel::plan_step(
+      n_stages, plan_.fsdp, shard_group_size_, replica_shape_.size);
   const double flops = machine_.gpu.sustained_flops;
-  // In-flight unsharded-unit cap (the limit_all_gathers rate limiter).
-  const int cap = opts.limit_all_gathers ? 2 : 6;
 
-  auto add = [&](bool is_comm, double dur,
-                 std::vector<int> deps) -> int {
-    Task t;
-    t.is_comm = is_comm;
-    t.duration = dur;
-    t.deps = std::move(deps);
-    tasks.push_back(std::move(t));
+  auto add = [&](bool is_comm, double dur, std::vector<int> deps) -> int {
+    tasks.push_back({is_comm, dur, std::move(deps)});
     return static_cast<int>(tasks.size()) - 1;
   };
-
-  std::vector<int> fwd(static_cast<size_t>(n_stages), -1);
-  std::vector<int> bwd(static_cast<size_t>(n_stages), -1);
-  std::vector<int> fwd_gather(static_cast<size_t>(n_stages), -1);
-  std::vector<int> bwd_gather(static_cast<size_t>(n_stages), -1);
-
-  // ---- forward ------------------------------------------------------------
-  int root_gather = -1;
-  if (sharded) {
-    root_gather = add(true, gather_seconds(workload_.root.param_elements), {});
-  }
-  if (sharded && opts.strategy == ShardingStrategy::kShardGradOp) {
-    // SHARD_GRAD_OP gathers every unit up front.
-    for (int i = 0; i < n_stages; ++i) {
-      fwd_gather[static_cast<size_t>(i)] = add(
-          true, gather_seconds(workload_.stages[static_cast<size_t>(i)]
-                                   .param_elements),
-          {});
-    }
-  }
-  const int root_fwd =
-      add(false, workload_.root.fwd_flops / flops,
-          root_gather >= 0 ? std::vector<int>{root_gather}
-                           : std::vector<int>{});
-
-  for (int i = 0; i < n_stages; ++i) {
-    const auto& stage = workload_.stages[static_cast<size_t>(i)];
-    if (per_stage_gather) {
-      std::vector<int> deps;
-      // Rate limiter: the gather for unit i waits until unit i-cap has
-      // finished its forward (and thus resharded).
-      if (i - cap >= 0) deps.push_back(fwd[static_cast<size_t>(i - cap)]);
-      fwd_gather[static_cast<size_t>(i)] =
-          add(true, gather_seconds(stage.param_elements), std::move(deps));
-    }
-    std::vector<int> deps{i == 0 ? root_fwd : fwd[static_cast<size_t>(i - 1)]};
-    if (fwd_gather[static_cast<size_t>(i)] >= 0) {
-      deps.push_back(fwd_gather[static_cast<size_t>(i)]);
-    }
-    fwd[static_cast<size_t>(i)] =
-        add(false, stage.fwd_flops / flops, std::move(deps));
-  }
-
-  // ---- backward -------------------------------------------------------------
-  // Stage L-1's parameters are re-gathered right after forward for
-  // FULL/HYBRID (they were freed after their forward).
-  auto stage_elements = [&](int i) {
-    return workload_.stages[static_cast<size_t>(i)].param_elements;
+  auto unit_work = [&](int unit) -> const StageWork& {
+    return unit < 0 ? workload_.root
+                    : workload_.stages[static_cast<size_t>(unit)];
   };
-
-  int last_compute = fwd[static_cast<size_t>(n_stages - 1)];
-  for (int i = n_stages - 1; i >= 0; --i) {
-    // Issue backward gathers per prefetch policy.
-    if (per_stage_gather) {
-      if (bwd_gather[static_cast<size_t>(i)] < 0) {
-        // Own gather (issued at before_backward(i) unless prefetched
-        // earlier by the stage above).
-        std::vector<int> deps{last_compute};
-        if (i + cap < n_stages) {
-          deps.push_back(bwd[static_cast<size_t>(i + cap)]);
-        }
-        bwd_gather[static_cast<size_t>(i)] =
-            add(true, gather_seconds(stage_elements(i)), std::move(deps));
+  // Host-order semantics: a post starts no earlier than the compute that
+  // precedes its hook point; a wait gates the next compute.
+  using Op = parallel::StepOp::Type;
+  using Compute = parallel::StepPoint::Compute;
+  int last_compute = -1;
+  std::vector<int> waited;
+  // Latest gather / reduction task per unit (slot unit + 1; 0 = root).
+  std::vector<int> gather(static_cast<size_t>(n_stages) + 1, -1);
+  std::vector<int> reduction(static_cast<size_t>(n_stages) + 1, -1);
+  for (const parallel::StepPoint& point : step) {
+    for (const parallel::StepOp& op : point.ops) {
+      const size_t slot = static_cast<size_t>(op.unit + 1);
+      const i64 elements = unit_work(op.unit).param_elements;
+      switch (op.type) {
+        case Op::kGatherPost:
+          gather[slot] = add(true, gather_seconds(elements), {last_compute});
+          break;
+        case Op::kGatherWait:
+          waited.push_back(gather[slot]);
+          break;
+        case Op::kReshard:
+          break;
+        case Op::kReduceScatterPost:
+          reduction[slot] = add(true, reduce_scatter_grads_seconds(elements),
+                                {last_compute});
+          break;
+        case Op::kReplicaAllReducePost:
+          waited.push_back(reduction[slot]);  // its reduce-scatter
+          [[fallthrough]];
+        case Op::kAllReducePost:
+          reduction[slot] = add(true, replica_all_reduce_seconds(elements),
+                                {last_compute, reduction[slot]});
+          break;
+        case Op::kDrain:
+          waited.insert(waited.end(), reduction.begin(), reduction.end());
+          break;
       }
-      if (opts.prefetch == BackwardPrefetch::kBackwardPre && i > 0 &&
-          bwd_gather[static_cast<size_t>(i - 1)] < 0) {
-        // Prefetch the next unit before this unit's backward compute.
-        std::vector<int> deps{last_compute};
-        if (i - 1 + cap < n_stages) {
-          deps.push_back(bwd[static_cast<size_t>(i - 1 + cap)]);
-        }
-        bwd_gather[static_cast<size_t>(i - 1)] =
-            add(true, gather_seconds(stage_elements(i - 1)), std::move(deps));
-      }
     }
-
-    std::vector<int> deps{last_compute};
-    if (bwd_gather[static_cast<size_t>(i)] >= 0) {
-      deps.push_back(bwd_gather[static_cast<size_t>(i)]);
-    }
-    bwd[static_cast<size_t>(i)] =
-        add(false, workload_.stages[static_cast<size_t>(i)].bwd_flops / flops,
-            std::move(deps));
-    last_compute = bwd[static_cast<size_t>(i)];
-
-    // BACKWARD_POST: prefetch issued after this unit's backward compute
-    // but before its gradient communication enters the queue.
-    if (per_stage_gather && opts.prefetch == BackwardPrefetch::kBackwardPost &&
-        i > 0 && bwd_gather[static_cast<size_t>(i - 1)] < 0) {
-      std::vector<int> deps2{last_compute};
-      if (i - 1 + cap < n_stages) {
-        deps2.push_back(bwd[static_cast<size_t>(i - 1 + cap)]);
-      }
-      bwd_gather[static_cast<size_t>(i - 1)] =
-          add(true, gather_seconds(stage_elements(i - 1)), std::move(deps2));
-    }
-
-    // Gradient communication for this unit.
-    int reduce_dep = bwd[static_cast<size_t>(i)];
-    if (sharded) {
-      reduce_dep = add(true, reduce_scatter_grads_seconds(stage_elements(i)),
-                       {reduce_dep});
-    }
-    if (replica_shape_.size > 1) {
-      add(true, replica_all_reduce_seconds(stage_elements(i)), {reduce_dep});
-    }
+    if (point.compute == Compute::kNone) continue;
+    const StageWork& work = unit_work(point.compute_unit);
+    const double compute_flops = point.compute == Compute::kForward
+                                     ? work.fwd_flops
+                                     : work.bwd_flops;
+    waited.push_back(last_compute);
+    last_compute = add(false, compute_flops / flops, std::move(waited));
+    waited.clear();
   }
 
-  // Root backward + its gradient communication.
-  const int root_bwd =
-      add(false, workload_.root.bwd_flops / flops, {last_compute});
-  int root_reduce_dep = root_bwd;
-  if (sharded) {
-    root_reduce_dep =
-        add(true, reduce_scatter_grads_seconds(workload_.root.param_elements),
-            {root_reduce_dep});
-  }
-  if (replica_shape_.size > 1) {
-    add(true, replica_all_reduce_seconds(workload_.root.param_elements),
-        {root_reduce_dep});
-  }
-
-  // Optimizer step over the local shard (memory-bound).
-  const double shard_bytes = 4.0 *
-                             static_cast<double>(
-                                 workload_.total_param_elements) /
-                             shard_group_size_;
+  // Optimizer step over the local shard (memory-bound), after the drain.
   // Read params+grads+2 moments, write params+moments: ~6x traffic.
-  // Depends on the last gradient-communication task and the last compute.
-  std::vector<int> opt_deps{static_cast<int>(tasks.size()) - 1, root_bwd};
+  const double shard_bytes =
+      4.0 * static_cast<double>(workload_.total_param_elements) /
+      shard_group_size_;
+  waited.push_back(last_compute);
   add(false, 6.0 * shard_bytes / machine_.gpu.hbm_bandwidth,
-      std::move(opt_deps));
+      std::move(waited));
 }
 
 void TrainingSimulator::build_ddp_tasks(std::vector<Task>& tasks) const {
@@ -239,11 +140,7 @@ void TrainingSimulator::build_ddp_tasks(std::vector<Task>& tasks) const {
   const double flops = machine_.gpu.sustained_flops;
 
   auto add = [&](bool is_comm, double dur, std::vector<int> deps) -> int {
-    Task t;
-    t.is_comm = is_comm;
-    t.duration = dur;
-    t.deps = std::move(deps);
-    tasks.push_back(std::move(t));
+    tasks.push_back({is_comm, dur, std::move(deps)});
     return static_cast<int>(tasks.size()) - 1;
   };
 
@@ -316,7 +213,7 @@ StepTiming TrainingSimulator::simulate_step() const {
   if (plan_.kind == ParallelPlan::Kind::kDdp) {
     build_ddp_tasks(tasks);
   } else {
-    build_fsdp_tasks(tasks);
+    build_plan_tasks(tasks);
   }
 
   // Two FIFO streams: tasks of each kind execute in construction order.
@@ -400,7 +297,10 @@ MemoryFootprint TrainingSimulator::memory_footprint() const {
       m.params = P / gs;
       m.grads = P / gs;
       m.optimizer = 2.0 * P / gs;
-      const int cap = plan_.fsdp.limit_all_gathers ? 2 : 6;
+      // A memory-model bound on resident gathered units, not the schedule.
+      const int cap = plan_.fsdp.limit_all_gathers
+                          ? parallel::kAllGatherInflightCap
+                          : 6;
       m.transient_unsharded = (cap + 1) * max_unit;
       break;
     }

@@ -1,18 +1,20 @@
 // Discrete-event simulation of one training step under a parallelization
 // strategy, on the Frontier machine model.
 //
-// The simulator executes the same per-unit schedule the functional FSDP
-// runtime performs (gather -> compute -> reduce, with prefetch windows and
-// the all-gather rate limiter), on two FIFO resources per rank — a compute
-// stream and a communication stream — so compute/communication overlap,
-// exposed communication time, and all the crossovers of Figs 1-4 are
-// emergent properties of message sizes, call counts and link bandwidths.
+// For FSDP it times the step plan the functional runtime executes
+// (`parallel::plan_step`) on two FIFO resources per rank — a compute stream
+// and a communication stream — in host order: a post starts no earlier
+// than the compute preceding its hook point, a wait gates the next
+// compute. "Limiter off" is the plan's unbounded forward lookahead plus
+// the cost model's unlimited_gather_penalty (the memory model keeps its own
+// in-flight bound). Overlap, exposed communication and the crossovers of
+// Figs 1-4 emerge from message sizes, call counts and link bandwidths.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "parallel/fsdp.hpp"
+#include "parallel/step_plan.hpp"
 #include "sim/collective.hpp"
 #include "sim/machine.hpp"
 #include "sim/workload.hpp"
@@ -69,7 +71,6 @@ class TrainingSimulator {
   PowerDraw power_draw() const;
 
   int world_size() const { return nodes_ * machine_.gpus_per_node; }
-  int shard_group_size() const { return shard_group_size_; }
 
  private:
   struct Task {
@@ -78,7 +79,8 @@ class TrainingSimulator {
     std::vector<int> deps;  // task ids that must complete first
   };
 
-  void build_fsdp_tasks(std::vector<Task>& tasks) const;
+  /// Tasks of the FSDP step plan, then the optimizer step.
+  void build_plan_tasks(std::vector<Task>& tasks) const;
   void build_ddp_tasks(std::vector<Task>& tasks) const;
 
   double gather_seconds(i64 elements) const;

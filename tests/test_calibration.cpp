@@ -1,9 +1,11 @@
-// Simulator-vs-runtime calibration: the Frontier simulator and the
-// functional async FSDP runtime model the same overlap machinery
-// (backward prefetch, the in-flight all-gather limiter), so the *ordering*
-// of exposed communication time across configurations must agree even
-// though the absolute scales differ by orders of magnitude (modeled
-// ViT-5B on 8 nodes vs a proxy model on 4 thread ranks).
+// Simulator-vs-runtime calibration: the Frontier simulator times the same
+// step plan (`parallel::plan_step`) the functional async FSDP runtime
+// executes — forward lookahead, backward prefetch, the in-flight
+// all-gather limiter — so the schedules are identical by construction and
+// what is checked here is the cost side: the *ordering* of exposed
+// communication time across configurations must agree even though the
+// absolute scales differ by orders of magnitude (modeled ViT-5B on 8 nodes
+// vs a proxy model on 4 thread ranks).
 //
 // ROADMAP item: "Calibration test comparing simulator predictions against
 // the functional runtime's measured compute/comm overlap".

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <mutex>
 
 #include "comm/communicator.hpp"
 #include "models/mae.hpp"
+#include "obs/metrics.hpp"
 #include "optim/optimizer.hpp"
 #include "parallel/ddp.hpp"
 #include "parallel/fsdp.hpp"
@@ -368,14 +370,19 @@ TEST(FsdpLimiter, CapHoldsThroughFullParameterGather) {
 }
 
 TEST(FsdpLimiter, DisablingLimiterExceedsCap) {
-  // SHARD_GRAD_OP issues every stage gather up front in begin_step(), so
-  // with the limiter off the in-flight count reaches the unit count (5),
+  // With the limiter off the step plan issues every stage gather up front
+  // in begin_step(), so the in-flight count reaches the unit count (5),
   // proving the cap above is enforcement and not a structural accident.
-  FsdpOptions opts;
-  opts.strategy = ShardingStrategy::kShardGradOp;
-  opts.limit_all_gathers = false;
-  const auto [peak, stats] = one_step_overlap(opts, 4);
-  EXPECT_GT(peak, parallel::kAllGatherInflightCap);
+  for (ShardingStrategy strategy :
+       {ShardingStrategy::kShardGradOp, ShardingStrategy::kFullShard}) {
+    FsdpOptions opts;
+    opts.strategy = strategy;
+    opts.limit_all_gathers = false;
+    const auto [peak, stats] = one_step_overlap(opts, 4);
+    EXPECT_GT(peak, parallel::kAllGatherInflightCap)
+        << parallel::to_string(strategy);
+    EXPECT_EQ(peak, 5) << parallel::to_string(strategy);
+  }
 }
 
 TEST(FsdpLimiter, LimiterCapsShardGradOpBatchIssue) {
@@ -384,6 +391,34 @@ TEST(FsdpLimiter, LimiterCapsShardGradOpBatchIssue) {
   opts.limit_all_gathers = true;
   const auto [peak, stats] = one_step_overlap(opts, 4);
   EXPECT_LE(peak, parallel::kAllGatherInflightCap);
+}
+
+TEST(FsdpLimiter, PlanNeverStallsInsideAStep) {
+  // The step plan's forward lookahead and backward prefetch stay within the
+  // cap, so the runtime limiter never has to block a training step.
+  auto& stalls =
+      obs::MetricsRegistry::instance().counter("fsdp.limiter_stalls");
+  for (const auto& [strategy, group] :
+       {std::pair{ShardingStrategy::kFullShard, 1},
+        std::pair{ShardingStrategy::kShardGradOp, 1},
+        std::pair{ShardingStrategy::kHybridShard, 2}}) {
+    for (BackwardPrefetch prefetch :
+         {BackwardPrefetch::kNone, BackwardPrefetch::kBackwardPost,
+          BackwardPrefetch::kBackwardPre}) {
+      FsdpOptions opts;
+      opts.strategy = strategy;
+      opts.hybrid_group_size = group;
+      opts.prefetch = prefetch;
+      opts.limit_all_gathers = true;
+      const double before = stalls.value();
+      const auto [peak, stats] = one_step_overlap(opts, 4);
+      const std::string label =
+          parallel::to_string(strategy) + "/" + parallel::to_string(prefetch);
+      EXPECT_EQ(stalls.value(), before) << label;
+      EXPECT_GE(peak, 1) << label;
+      EXPECT_LE(peak, parallel::kAllGatherInflightCap) << label;
+    }
+  }
 }
 
 TEST(FsdpOverlap, StepStatsAccountEveryWait) {
@@ -398,6 +433,149 @@ TEST(FsdpOverlap, StepStatsAccountEveryWait) {
   EXPECT_GE(stats.overlapped_seconds(), 0.0);
   EXPECT_GE(stats.completed_before_wait, 0);
   EXPECT_LE(stats.completed_before_wait, stats.waits);
+}
+
+// ----- step plan ----------------------------------------------------------------
+
+// The communication events a step plan's ops record, in plan order.
+std::vector<std::pair<FsdpEvent::Type, int>> plan_events(
+    const parallel::StepPlan& plan) {
+  using Op = parallel::StepOp::Type;
+  std::vector<std::pair<FsdpEvent::Type, int>> out;
+  for (const auto& point : plan) {
+    for (const auto& op : point.ops) {
+      switch (op.type) {
+        case Op::kGatherPost:
+          out.push_back({FsdpEvent::Type::kAllGather, op.unit});
+          break;
+        case Op::kReshard:
+          out.push_back({FsdpEvent::Type::kReshard, op.unit});
+          break;
+        case Op::kReduceScatterPost:
+          out.push_back({FsdpEvent::Type::kReduceScatter, op.unit});
+          break;
+        case Op::kReplicaAllReducePost:
+        case Op::kAllReducePost:
+          out.push_back({FsdpEvent::Type::kAllReduce, op.unit});
+          break;
+        case Op::kGatherWait:
+        case Op::kDrain:
+          break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FsdpPlan, RuntimeScheduleEqualsPlan) {
+  // Every strategy x prefetch x limiter combination on 4 ranks: the
+  // collectives the runtime records in a steady-state step are exactly the
+  // plan's comm ops, in order, on every rank.
+  const StrategyCase strategies[] = {
+      {ShardingStrategy::kNoShard, 1, "no_shard"},
+      {ShardingStrategy::kFullShard, 1, "full_shard"},
+      {ShardingStrategy::kShardGradOp, 1, "shard_grad_op"},
+      {ShardingStrategy::kHybridShard, 1, "hybrid_1"},
+      {ShardingStrategy::kHybridShard, 2, "hybrid_2"},
+      {ShardingStrategy::kHybridShard, 4, "hybrid_4"},
+  };
+  for (const StrategyCase& sc : strategies) {
+    for (BackwardPrefetch prefetch :
+         {BackwardPrefetch::kNone, BackwardPrefetch::kBackwardPost,
+          BackwardPrefetch::kBackwardPre}) {
+      for (bool limit : {true, false}) {
+        FsdpOptions opts;
+        opts.strategy = sc.strategy;
+        opts.hybrid_group_size = sc.hybrid_group;
+        opts.prefetch = prefetch;
+        opts.limit_all_gathers = limit;
+        const std::string label = std::string(sc.label) + "/" +
+                                  parallel::to_string(prefetch) +
+                                  (limit ? "/limit" : "/nolimit");
+        std::mutex mu;
+        std::vector<std::string> mismatches;
+        run_ranks(4, [&](Communicator& c) {
+          Rng rng(1);
+          models::MAE mae(test_mae_cfg(), rng);
+          Fsdp fsdp(mae, c, opts);
+          Tensor batch = make_global_batch(2, 5);
+          for (int step = 0; step < 2; ++step) {
+            Rng mask_rng(static_cast<u64>(7 + step));
+            fsdp.begin_step();
+            mae.forward(batch, mask_rng, 0);
+            mae.backward();
+            fsdp.end_backward();
+          }
+          std::vector<std::pair<FsdpEvent::Type, int>> recorded;
+          for (const FsdpEvent& e : fsdp.last_schedule()) {
+            recorded.push_back({e.type, e.unit});
+          }
+          const auto plan =
+              parallel::plan_step(fsdp.n_units(), opts, fsdp.shard_group_size(),
+                                  fsdp.replica_group_size());
+          if (recorded != plan_events(plan)) {
+            std::lock_guard<std::mutex> lk(mu);
+            mismatches.push_back("rank " + std::to_string(c.rank()));
+          }
+          c.barrier();
+        });
+        EXPECT_TRUE(mismatches.empty())
+            << label << ": schedule differs from plan on "
+            << mismatches.front();
+      }
+    }
+  }
+}
+
+TEST(FsdpPlan, HookOutOfPlanOrderThrows) {
+  run_ranks(1, [&](Communicator& c) {
+    Rng rng(1);
+    models::MAE mae(test_mae_cfg(), rng);
+    Fsdp fsdp(mae, c, FsdpOptions{});
+    Tensor batch = make_global_batch(2, 5);
+    Rng mask_rng(7);
+    // A forward without begin_step(): before_forward(0) is not next.
+    EXPECT_THROW(mae.forward(batch, mask_rng, 0), parallel::HookOrderError);
+    // end_backward() straight after begin_step() skips the whole step.
+    fsdp.begin_step();
+    EXPECT_THROW(fsdp.end_backward(), parallel::HookOrderError);
+    // begin_step() always restarts the plan, so a full step still runs.
+    fsdp.begin_step();
+    mae.forward(batch, mask_rng, 0);
+    mae.backward();
+    EXPECT_NO_THROW(fsdp.end_backward());
+  });
+}
+
+TEST(FsdpPlan, LookaheadFollowsLimiter) {
+  // FULL_SHARD forward, 5 units: with the limiter, begin_step posts units
+  // 0 and 1 and before_forward(i) posts unit i + 1; without it, begin_step
+  // posts all five.
+  using Op = parallel::StepOp::Type;
+  auto begin_gathers = [](bool limit) {
+    FsdpOptions opts;
+    opts.limit_all_gathers = limit;
+    const auto plan = parallel::plan_step(5, opts, 4, 1);
+    int n = 0;
+    for (const auto& op : plan.front().ops) {
+      n += op.type == Op::kGatherPost;
+    }
+    return n;
+  };
+  EXPECT_EQ(begin_gathers(true), 1 + parallel::kAllGatherInflightCap);
+  EXPECT_EQ(begin_gathers(false), 1 + 5);
+
+  FsdpOptions opts;
+  const auto plan = parallel::plan_step(5, opts, 4, 1);
+  for (const auto& point : plan) {
+    if (point.hook != parallel::StepHook::kBeforeForward) continue;
+    std::vector<parallel::StepOp> expect;
+    if (point.stage > 0 && point.stage + 1 < 5) {
+      expect.push_back({Op::kGatherPost, point.stage + 1});
+    }
+    expect.push_back({Op::kGatherWait, point.stage});
+    EXPECT_EQ(point.ops, expect) << "before_forward(" << point.stage << ")";
+  }
 }
 
 // ----- sharded storage accounting ----------------------------------------------

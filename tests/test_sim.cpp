@@ -4,6 +4,7 @@
 
 #include "models/config.hpp"
 #include "sim/simulator.hpp"
+#include "util/table.hpp"
 
 namespace geofm {
 namespace {
@@ -330,6 +331,116 @@ TEST(SimShapes, HybridGroupMustDivideWorld) {
   EXPECT_THROW(TrainingSimulator(w, frontier(), 1,
                                  plan_fsdp(ShardingStrategy::kHybridShard, 3)),
                Error);
+}
+
+// ----- golden figures -----------------------------------------------------------
+
+// Pins rows of bench_fig2/bench_fig4 at the precision the benches print, so
+// any change to the step plan or the cost model shows up here as a diff to
+// review (and to carry into EXPERIMENTS.md), not as silently moved figures.
+struct GoldenRow {
+  const char* label;
+  ShardingStrategy strategy;
+  int group;
+  BackwardPrefetch prefetch;
+  bool limit;
+  const char* ips;  // images/s, as the bench prints it
+};
+
+std::string golden_ips(const models::ViTConfig& cfg, int nodes,
+                       const GoldenRow& row) {
+  ParallelPlan plan = plan_fsdp(row.strategy, row.group);
+  plan.fsdp.prefetch = row.prefetch;
+  plan.fsdp.limit_all_gathers = row.limit;
+  return fmt_f(ips(cfg, nodes, plan), 0);
+}
+
+TEST(SimGolden, Fig2FsdpConfigsAtEightNodes) {
+  using BP = BackwardPrefetch;
+  constexpr auto kFull = ShardingStrategy::kFullShard;
+  constexpr auto kSgo = ShardingStrategy::kShardGradOp;
+  constexpr auto kHybrid = ShardingStrategy::kHybridShard;
+  const GoldenRow rows[] = {
+      {"FULL_SHARD None off", kFull, 1, BP::kNone, false, "348"},
+      {"FULL_SHARD None on", kFull, 1, BP::kNone, true, "356"},
+      {"FULL_SHARD POST off", kFull, 1, BP::kBackwardPost, false, "369"},
+      {"FULL_SHARD POST on", kFull, 1, BP::kBackwardPost, true, "377"},
+      {"FULL_SHARD PRE off", kFull, 1, BP::kBackwardPre, false, "395"},
+      {"FULL_SHARD PRE on", kFull, 1, BP::kBackwardPre, true, "401"},
+      {"SHARD_GRAD_OP None off", kSgo, 1, BP::kNone, false, "426"},
+      {"SHARD_GRAD_OP None on", kSgo, 1, BP::kNone, true, "430"},
+      {"SHARD_GRAD_OP POST off", kSgo, 1, BP::kBackwardPost, false, "426"},
+      {"SHARD_GRAD_OP POST on", kSgo, 1, BP::kBackwardPost, true, "430"},
+      {"SHARD_GRAD_OP PRE off", kSgo, 1, BP::kBackwardPre, false, "426"},
+      {"SHARD_GRAD_OP PRE on", kSgo, 1, BP::kBackwardPre, true, "430"},
+      {"HYBRID_2GPUs None off", kHybrid, 2, BP::kNone, false, "294"},
+      {"HYBRID_2GPUs None on", kHybrid, 2, BP::kNone, true, "296"},
+      {"HYBRID_2GPUs POST off", kHybrid, 2, BP::kBackwardPost, false, "353"},
+      {"HYBRID_2GPUs POST on", kHybrid, 2, BP::kBackwardPost, true, "356"},
+      {"HYBRID_2GPUs PRE off", kHybrid, 2, BP::kBackwardPre, false, "362"},
+      {"HYBRID_2GPUs PRE on", kHybrid, 2, BP::kBackwardPre, true, "364"},
+  };
+  for (const GoldenRow& row : rows) {
+    EXPECT_EQ(golden_ips(models::vit_5b(), 8, row), row.ips) << row.label;
+  }
+}
+
+TEST(SimGolden, Fig4LargeModelsAtThirtyTwoNodes) {
+  constexpr auto kPre = BackwardPrefetch::kBackwardPre;
+  constexpr auto kHybrid = ShardingStrategy::kHybridShard;
+  const GoldenRow vit5b[] = {
+      {"HYBRID_2GPUs", kHybrid, 2, kPre, true, "1360"},
+      {"HYBRID_4GPUs", kHybrid, 4, kPre, true, "1530"},
+      {"HYBRID_8GPUs", kHybrid, 8, kPre, true, "1555"},
+      {"HYBRID_16GPUs", kHybrid, 16, kPre, true, "1599"},
+      {"FULL_SHARD", ShardingStrategy::kFullShard, 1, kPre, true, "1539"},
+      {"SHARD_GRAD_OP", ShardingStrategy::kShardGradOp, 1, kPre, true,
+       "1668"},
+  };
+  const GoldenRow vit15b[] = {
+      {"HYBRID_4GPUs", kHybrid, 4, kPre, true, "400"},
+      {"HYBRID_8GPUs", kHybrid, 8, kPre, true, "407"},
+      {"HYBRID_16GPUs", kHybrid, 16, kPre, true, "418"},
+      {"FULL_SHARD", ShardingStrategy::kFullShard, 1, kPre, true, "406"},
+      {"SHARD_GRAD_OP", ShardingStrategy::kShardGradOp, 1, kPre, true,
+       "439"},
+  };
+  for (const GoldenRow& row : vit5b) {
+    EXPECT_EQ(golden_ips(models::vit_5b(), 32, row), row.ips)
+        << "ViT-5B " << row.label;
+  }
+  for (const GoldenRow& row : vit15b) {
+    EXPECT_EQ(golden_ips(models::vit_15b(), 32, row), row.ips)
+        << "ViT-15B " << row.label;
+  }
+}
+
+TEST(SimGolden, Fig4PowerTraceAtThirtyTwoNodes) {
+  struct PowerRow {
+    const char* label;
+    ParallelPlan plan;
+    const char* row;  // ips | avg power [W] | compute | comm util | mem [GB]
+  };
+  const PowerRow rows[] = {
+      {"HYBRID_2GPUs", plan_fsdp(ShardingStrategy::kHybridShard, 2),
+       "1360|404|0.68|0.56|35.9"},
+      {"FULL_SHARD", plan_fsdp(ShardingStrategy::kFullShard),
+       "1539|432|0.77|0.46|5.0"},
+      {"SHARD_GRAD_OP", plan_fsdp(ShardingStrategy::kShardGradOp),
+       "1668|451|0.83|0.33|20.0"},
+  };
+  for (const PowerRow& r : rows) {
+    TrainingSimulator sim(vit_step_workload(models::vit_5b(), 32), frontier(),
+                          32, r.plan);
+    const PowerDraw power = sim.power_draw();
+    const std::string got =
+        fmt_f(sim.simulate_step().images_per_second_total, 0) + "|" +
+        fmt_f(power.average_watts, 0) + "|" +
+        fmt_f(power.compute_utilization, 2) + "|" +
+        fmt_f(power.comm_utilization, 2) + "|" +
+        fmt_f(sim.memory_footprint().total() / double(1ull << 30), 1);
+    EXPECT_EQ(got, r.row) << r.label;
+  }
 }
 
 }  // namespace
