@@ -7,8 +7,15 @@
 //   2. measured — the functional async runtime on 4 thread ranks, reporting
 //      the exposed-wait vs hidden-communication split the nonblocking
 //      engine actually achieved, plus the in-flight gather peak that
-//      limit_all_gathers caps.
+//      limit_all_gathers caps. One short run per config swings by 2x or
+//      more with host scheduling, so the configs are measured in
+//      interleaved rounds (each round starting at a different config, as
+//      the OverlapCalibration suite does) and each row reports the median
+//      and interquartile range of its rounds.
+#include <algorithm>
+#include <iterator>
 #include <mutex>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "comm/communicator.hpp"
@@ -73,6 +80,18 @@ Measured measure_functional(BackwardPrefetch pf, bool limit) {
   return out;
 }
 
+// Median and interquartile range (nearest-rank quartiles) of `v`.
+struct Spread {
+  double median = 0;
+  double iqr = 0;
+};
+
+Spread spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return {v[n / 2], v[(3 * n) / 4] - v[n / 4]};
+}
+
 }  // namespace
 
 int main() {
@@ -118,21 +137,47 @@ int main() {
 
   std::printf("\nmeasured — functional async runtime, FULL_SHARD on 4 thread "
               "ranks (proxy ViT-Base MAE):\n");
-  TextTable m({"Config", "exposed [ms]", "hidden [ms]", "done@wait",
-               "peak in-flight"});
-  auto measured_row = [&](const char* label, BackwardPrefetch pf, bool limit) {
-    const Measured r = measure_functional(pf, limit);
-    m.add_row({label, fmt_f(r.exposed_ms, 2), fmt_f(r.overlapped_ms, 2),
-               fmt_f(100.0 * r.completed_before_wait /
-                         std::max(1, r.waits), 0) + "%",
-               std::to_string(r.peak_inflight)});
+  struct OverlapConfig {
+    const char* label;
+    BackwardPrefetch prefetch;
+    bool limit;
   };
-  measured_row("BACKWARD_PRE + limiter", BackwardPrefetch::kBackwardPre, true);
-  measured_row("BACKWARD_POST + limiter", BackwardPrefetch::kBackwardPost,
-               true);
-  measured_row("no prefetch + limiter", BackwardPrefetch::kNone, true);
-  measured_row("BACKWARD_PRE, limiter off", BackwardPrefetch::kBackwardPre,
-               false);
+  const OverlapConfig configs[] = {
+      {"BACKWARD_PRE + limiter", BackwardPrefetch::kBackwardPre, true},
+      {"BACKWARD_POST + limiter", BackwardPrefetch::kBackwardPost, true},
+      {"no prefetch + limiter", BackwardPrefetch::kNone, true},
+      {"BACKWARD_PRE, limiter off", BackwardPrefetch::kBackwardPre, false},
+  };
+  constexpr size_t kConfigs = std::size(configs);
+  const size_t rounds = bench::quick_mode() ? 9 : 21;
+  std::vector<double> exposed[kConfigs], hidden[kConfigs];
+  Measured total[kConfigs];
+  for (size_t r = 0; r < rounds; ++r) {
+    for (size_t j = 0; j < kConfigs; ++j) {
+      const size_t i = (j + r) % kConfigs;
+      const Measured run =
+          measure_functional(configs[i].prefetch, configs[i].limit);
+      exposed[i].push_back(run.exposed_ms);
+      hidden[i].push_back(run.overlapped_ms);
+      total[i].completed_before_wait += run.completed_before_wait;
+      total[i].waits += run.waits;
+      total[i].peak_inflight =
+          std::max(total[i].peak_inflight, run.peak_inflight);
+    }
+  }
+  std::printf("(%zu interleaved rounds per config; median [IQR] per run)\n",
+              rounds);
+  TextTable m({"Config", "exposed [ms]", "exposed IQR", "hidden [ms]",
+               "hidden IQR", "done@wait", "peak in-flight"});
+  for (size_t i = 0; i < kConfigs; ++i) {
+    const Spread e = spread(exposed[i]);
+    const Spread h = spread(hidden[i]);
+    m.add_row({configs[i].label, fmt_f(e.median, 2), fmt_f(e.iqr, 2),
+               fmt_f(h.median, 2), fmt_f(h.iqr, 2),
+               fmt_f(100.0 * total[i].completed_before_wait /
+                         std::max(1, total[i].waits), 0) + "%",
+               std::to_string(total[i].peak_inflight)});
+  }
   m.print();
   std::printf(
       "takeaway: on thread ranks the collective executes on the last rank\n"

@@ -1,7 +1,9 @@
 // Trace-span budget gate (CI): runs a representative distributed
 // pretraining workload with tracing enabled, aggregates time per span
 // name across every rank, and fails (exit 1) if any budgeted span's share
-// of total step time exceeds its budget in scripts/span_budgets.txt.
+// of total step time exceeds its budget in scripts/span_budgets.txt, or
+// if an exact work count is off (the loader's per-rank render count, which
+// replaced the `step.fetch` share budget).
 //
 // Budgets are *fractions of summed `step` span time*, not absolute
 // seconds, so the gate is stable across machine speeds; they are set with
@@ -89,7 +91,17 @@ int main(int argc, char** argv) {
   cfg.checkpoint_dir = ckpt_root;
   cfg.async_checkpoint = true;
 
-  comm::run_ranks(4, [&](comm::Communicator& c) {
+  // Phase 1's render counts: each rank renders only its slice of every
+  // global batch, so samples == batches x local batch exactly. A loader
+  // that renders the full global batch on every rank reads 4x.
+  auto& batches_rendered =
+      obs::MetricsRegistry::instance().counter("loader.batches_rendered");
+  auto& samples_rendered =
+      obs::MetricsRegistry::instance().counter("loader.samples_rendered");
+  const double batches_before = batches_rendered.value();
+  const double samples_before = samples_rendered.value();
+  constexpr int kRanks = 4;
+  comm::run_ranks(kRanks, [&](comm::Communicator& c) {
     Rng rng(1);
     models::MAE mae(models::mae_for(models::proxy_huge()), rng);
     parallel::FsdpOptions opts;
@@ -98,6 +110,9 @@ int main(int argc, char** argv) {
     parallel::Fsdp fsdp(mae, c, opts);
     train::pretrain_mae_distributed(mae, fsdp, c, corpus, cfg);
   });
+  const double batches = batches_rendered.value() - batches_before;
+  const double samples = samples_rendered.value() - samples_before;
+  const double local_batch = static_cast<double>(cfg.global_batch / kRanks);
 
   // Phase 2: the same shape under a mid-run rank kill, driven by the
   // elastic supervisor, so the recovery path (recover.detect /
@@ -241,11 +256,16 @@ int main(int argc, char** argv) {
                 ok ? "ok  " : "FAIL", name.c_str(), share, budget);
     if (!ok) ++violations;
   }
+  const bool renders_ok = batches > 0 && samples == batches * local_batch;
+  std::printf("  %s  %-22s %.0f = %.0f batches x %.0f local (exact)\n",
+              renders_ok ? "ok  " : "FAIL", "loader.samples_rendered",
+              samples, batches, local_batch);
+  if (!renders_ok) ++violations;
   if (violations > 0) {
-    std::fprintf(stderr, "span budget gate: %d budget(s) exceeded\n",
+    std::fprintf(stderr, "span budget gate: %d check(s) failed\n",
                  violations);
     return 1;
   }
-  std::printf("span budget gate: all budgets met\n");
+  std::printf("span budget gate: all budgets and counts met\n");
   return 0;
 }

@@ -37,11 +37,11 @@ GEOFM_KERNELS=scalar ./build/tests/geofm_tests \
     --gtest_filter='Kernel*:Ops.*:Linear.*:LayerNorm.*:Attention.*:Mlp.*:TransformerBlock.*:*AttentionGrid.*:*BlockGrid.*:PatchEmbed.*:AdamW.*:Sgd.*:Lars.*:Mae.*:ViT.*'
 
 echo "== trace-span budget gate =="
-# Structural perf tripwires: comm wait, unshard, loader fetch, the exposed
+# Structural perf tripwires: comm wait, unshard, the exposed
 # checkpoint-snapshot cost, the elastic-recovery path (recover.*, including
 # grow-back readmission), and the uploader's publish-side hook
 # (upload.exposed) as fractions of step time (budgets in
-# scripts/span_budgets.txt).
+# scripts/span_budgets.txt), plus an exact loader render count.
 ./build/bench/bench_span_budget_gate scripts/span_budgets.txt
 
 echo "== observability overhead =="

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_context.hpp"
+#include "util/thread_pool.hpp"
 
 namespace geofm::comm {
 namespace {
@@ -729,6 +730,7 @@ void run_ranks(int n_ranks, const std::function<void(Communicator&)>& fn) {
     threads.emplace_back([&, r] {
       set_thread_rank(r);
       obs::set_thread_label("rank");
+      RankThreadBudget budget(n_ranks);
       obs::TraceScope span("rank.run", "runtime", "world", n_ranks);
       Communicator comm(group, r);
       try {

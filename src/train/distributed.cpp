@@ -16,6 +16,7 @@
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/thread_context.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace geofm::train {
@@ -146,6 +147,7 @@ DistributedPretrainResult pretrain_mae_distributed(
 
   DistributedPretrainResult result;
   result.start_step = start_step;
+  result.kernel_threads = kernel_threads();
   result.step_losses.reserve(
       static_cast<size_t>(std::max<i64>(cfg.steps - start_step, 0)));
 

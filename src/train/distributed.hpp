@@ -94,6 +94,9 @@ struct DistributedPretrainResult {
   i64 images_seen = 0;  // global
   /// First step this run executed (> 0 when resumed from a checkpoint).
   i64 start_step = 0;
+  /// Kernel threads this rank's parallel regions ran on (its rank thread
+  /// budget; see util/thread_pool.hpp).
+  int kernel_threads = 0;
 
   // Overlap accounting for this rank, summed over all steps.
   int collectives_waited = 0;

@@ -17,6 +17,7 @@
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/thread_context.hpp"
+#include "util/thread_pool.hpp"
 
 namespace geofm::train {
 namespace {
@@ -184,6 +185,9 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
         }
       } else {
         try {
+          // The attempt's world sets the kernel thread budget: it shrinks
+          // and grows back with the world.
+          RankThreadBudget budget(a->comm.size());
           Rng rng(cfg.model_seed);
           models::MAE mae(cfg.model, rng);
           parallel::Fsdp fsdp(mae, a->comm, cfg.fsdp);

@@ -5,6 +5,12 @@
 #include <cstdlib>
 
 namespace geofm {
+namespace {
+
+// The pool this thread's parallel regions run on; null means global().
+thread_local ThreadPool* t_pool = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int n_workers) {
   GEOFM_CHECK(n_workers >= 0);
@@ -33,6 +39,9 @@ void ThreadPool::run_chunks(Task& task) {
 }
 
 void ThreadPool::worker_loop() {
+  // A region nested inside one of this pool's chunks finds the pool busy
+  // and runs inline, never spilling onto another pool.
+  t_pool = this;
   u64 seen = 0;
   for (;;) {
     Task* task = nullptr;
@@ -70,9 +79,8 @@ void ThreadPool::parallel_for(i64 n, const std::function<void(i64, i64)>& fn,
   }
 
   // Only one parallel region may own the pool at a time. Concurrent or
-  // nested callers (e.g. several communicator rank threads computing at
-  // once) degrade gracefully to inline execution — the ranks themselves
-  // already provide the parallelism in that case.
+  // nested callers degrade gracefully to inline execution. Rank threads
+  // never meet here: each runs on its own RankThreadBudget pool.
   std::unique_lock<std::mutex> dispatch(dispatch_mu_, std::try_to_lock);
   if (!dispatch.owns_lock()) {
     fn(0, n);
@@ -113,19 +121,42 @@ void ThreadPool::parallel_for(i64 n, const std::function<void(i64, i64)>& fn,
   }
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
+int process_thread_budget() {
+  static const int total = [] {
     if (const char* env = std::getenv("GEOFM_NUM_THREADS")) {
-      return std::max(0, std::atoi(env) - 1);
+      return std::max(1, std::atoi(env));
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 1 ? static_cast<int>(hw - 1) : 0;
-  }());
+    return std::max(1, static_cast<int>(hw));
+  }();
+  return total;
+}
+
+int rank_thread_budget(int world_size) {
+  GEOFM_CHECK(world_size >= 1, "rank world size must be positive");
+  return std::max(1, process_thread_budget() / world_size);
+}
+
+ThreadPool& ThreadPool::global() {
+  static ThreadPool pool(process_thread_budget() - 1);
   return pool;
 }
 
+ThreadPool& ThreadPool::current() { return t_pool ? *t_pool : global(); }
+
+RankThreadBudget::RankThreadBudget(int world_size) : outer_(t_pool) {
+  const int budget = rank_thread_budget(world_size);
+  // A one-rank world owns the whole process budget: the global pool.
+  if (world_size > 1) pool_ = std::make_unique<ThreadPool>(budget - 1);
+  t_pool = pool_.get();
+}
+
+RankThreadBudget::~RankThreadBudget() { t_pool = outer_; }
+
+int kernel_threads() { return ThreadPool::current().n_workers() + 1; }
+
 void parallel_for(i64 n, const std::function<void(i64, i64)>& fn, i64 grain) {
-  ThreadPool::global().parallel_for(n, fn, grain);
+  ThreadPool::current().parallel_for(n, fn, grain);
 }
 
 }  // namespace geofm

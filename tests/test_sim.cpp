@@ -443,5 +443,38 @@ TEST(SimGolden, Fig4PowerTraceAtThirtyTwoNodes) {
   }
 }
 
+// HYBRID chaining in the latency-bound regime (ROADMAP item 4): six blocks
+// whose backward (50 us) is shorter than their reduce-scatter (~150 us of
+// per-op overhead alone), and a root unit whose 1 ms backward stands in for
+// a decoder-heavy MAE root. The host waits RS(i+1) before it posts the
+// replica all-reduce at stage i's after-backward hook, so the next backward
+// cannot start before that reduce-scatter ends. A block's backward also
+// waits its own gather, which the FIFO comm stream already queued behind
+// RS(i+1); the root's backward waits no gather, so in this shape only the
+// host-order gate holds it behind RS(1), and dropping that gate starts the
+// root backward ~84 us early.
+TEST(SimGolden, HybridChainingWaitsReduceScatterWhenLatencyBound) {
+  const MachineSpec machine = frontier();
+  const double flops = machine.gpu.sustained_flops;
+  StageWork block;
+  block.fwd_flops = 25e-6 * flops;
+  block.bwd_flops = 50e-6 * flops;
+  block.param_elements = 1 << 16;
+  StepWorkload w;
+  w.stages.assign(6, block);
+  w.root = block;
+  w.root.bwd_flops = 1e-3 * flops;
+  w.images_per_step = 8;
+  w.total_param_elements = 7 * block.param_elements;
+
+  TrainingSimulator sim(w, machine, 1,
+                        plan_fsdp(ShardingStrategy::kHybridShard, 2));
+  const StepTiming t = sim.simulate_step();
+  // Every reduce-scatter outlasts the backward that follows it.
+  EXPECT_GT(machine.shard_op_overhead, block.bwd_flops / flops);
+  EXPECT_EQ(fmt_f(1e3 * t.step_seconds, 3), "6.516");
+  EXPECT_EQ(fmt_f(1e3 * t.exposed_comm_seconds, 3), "3.536");
+}
+
 }  // namespace
 }  // namespace geofm

@@ -1,15 +1,24 @@
-// Tests for util/: RNG determinism, thread pool, table formatting.
+// Tests for util/: RNG determinism, thread pool and rank thread budgets,
+// table formatting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "comm/communicator.hpp"
+#include "comm/fault.hpp"
+#include "data/datasets.hpp"
+#include "models/config.hpp"
+#include "train/elastic.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -182,6 +191,139 @@ TEST(ThreadPool, GrainZeroKeepsLegacySmallRangeInline) {
 TEST(ThreadPool, GrainRejectsNegative) {
   ThreadPool pool(1);
   EXPECT_THROW(pool.parallel_for(10, [&](i64, i64) {}, /*grain=*/-1), Error);
+}
+
+// ----- rank thread budgets ----------------------------------------------------
+
+// Runs one parallel region of `n` indices on the calling thread's pool and
+// returns the threads that ran its chunks. Every chunk holds until `want`
+// distinct threads have joined the region, so a pool that really fans out
+// shows all its threads however the scheduler orders them; the wait gives
+// up after a hang guard, and the caller's assertion reports the shortfall.
+std::set<std::thread::id> region_threads(i64 n, size_t want) {
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  parallel_for(
+      n,
+      [&](i64, i64) {
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          seen.insert(std::this_thread::get_id());
+        }
+        for (;;) {
+          {
+            std::lock_guard<std::mutex> lk(mu);
+            if (seen.size() >= want) return;
+          }
+          if (std::chrono::steady_clock::now() > give_up) return;
+          std::this_thread::yield();
+        }
+      },
+      /*grain=*/1);
+  return seen;
+}
+
+TEST(ThreadPool, RankBudgetIsTheRanksShareOfTheProcess) {
+  const int total = process_thread_budget();
+  ASSERT_GE(total, 1);
+  EXPECT_EQ(ThreadPool::global().n_workers(), total - 1);
+  EXPECT_EQ(rank_thread_budget(1), total);
+  EXPECT_EQ(rank_thread_budget(2), std::max(1, total / 2));
+  EXPECT_EQ(rank_thread_budget(total), 1);
+  EXPECT_EQ(rank_thread_budget(4 * total), 1);
+  EXPECT_THROW(rank_thread_budget(0), Error);
+}
+
+TEST(ThreadPool, RanksAtOrAboveHardwareRunEveryChunkInline) {
+  // Budget 1 per rank: a region runs on its rank thread alone, and never
+  // touches the global pool even while other ranks compute.
+  const int world = std::max(2, process_thread_budget());
+  ASSERT_EQ(rank_thread_budget(world), 1);
+  std::mutex mu;
+  int off_thread_chunks = 0;
+  int chunks = 0;
+  comm::run_ranks(world, [&](comm::Communicator& c) {
+    EXPECT_EQ(kernel_threads(), 1);
+    EXPECT_NE(&ThreadPool::current(), &ThreadPool::global());
+    c.barrier();
+    const std::thread::id self = std::this_thread::get_id();
+    parallel_for(
+        100000,
+        [&](i64, i64) {
+          std::lock_guard<std::mutex> lk(mu);
+          ++chunks;
+          if (std::this_thread::get_id() != self) ++off_thread_chunks;
+        },
+        /*grain=*/1);
+  });
+  EXPECT_EQ(chunks, world);  // one inline chunk per rank
+  EXPECT_EQ(off_thread_chunks, 0);
+}
+
+TEST(ThreadPool, SingleRankWorldKeepsTheWholeProcess) {
+  const int total = process_thread_budget();
+  if (total < 2) GTEST_SKIP() << "one kernel thread: nothing to fan out to";
+  std::set<std::thread::id> threads;
+  comm::run_ranks(1, [&](comm::Communicator&) {
+    EXPECT_EQ(&ThreadPool::current(), &ThreadPool::global());
+    EXPECT_EQ(kernel_threads(), total);
+    threads = region_threads(64, 2);
+  });
+  EXPECT_GT(threads.size(), 1u);
+}
+
+TEST(ThreadPool, TwoRanksRunOnDisjointPrivatePools) {
+  const int budget = rank_thread_budget(2);
+  if (process_thread_budget() < 4) {
+    GTEST_SKIP() << "needs >= 4 kernel threads for a 2-thread rank budget";
+  }
+  std::mutex mu;
+  std::map<int, std::set<std::thread::id>> by_rank;
+  comm::run_ranks(2, [&](comm::Communicator& c) {
+    EXPECT_EQ(kernel_threads(), budget);
+    c.barrier();  // both regions in flight at once
+    auto threads = region_threads(64, static_cast<size_t>(budget));
+    std::lock_guard<std::mutex> lk(mu);
+    by_rank[c.rank()] = std::move(threads);
+  });
+  ASSERT_EQ(by_rank.size(), 2u);
+  for (const auto& [rank, threads] : by_rank) {
+    EXPECT_EQ(threads.size(), static_cast<size_t>(budget))
+        << "rank " << rank << " did not get its whole budget";
+  }
+  for (const auto& id : by_rank[0]) {
+    EXPECT_EQ(by_rank[1].count(id), 0u) << "a thread ran both ranks' chunks";
+  }
+}
+
+TEST(ThreadPool, ElasticAttemptAfterShrinkGetsTheShrunkenBudget) {
+  // 3 ranks lose one and finish at world 2: the completing attempt's ranks
+  // run on rank_thread_budget(2) threads, not world 3's share.
+  const std::string root = "/tmp/geofm_test_rank_budget_elastic";
+  std::filesystem::remove_all(root);
+  models::ViTConfig enc{.name = "t", .width = 16, .depth = 2, .mlp_dim = 32,
+                        .heads = 2, .img_size = 16, .patch_size = 4,
+                        .in_channels = 3};
+  train::ElasticConfig cfg;
+  cfg.model = models::mae_for(enc);
+  cfg.world = 3;
+  cfg.train.steps = 4;
+  cfg.train.global_batch = 6;  // divides 3 and 2
+  cfg.train.loader_workers = 0;
+  cfg.train.verbose = false;
+  cfg.train.checkpoint_every_n_steps = 2;
+  cfg.train.checkpoint_dir = root;
+  cfg.train.async_checkpoint = false;
+  cfg.faults.events.push_back(comm::FaultEvent::kill_at_step(1, 3));
+  const auto res = train::run_elastic(cfg, data::million_aid_pretrain(32, 16));
+  std::filesystem::remove_all(root);
+
+  ASSERT_EQ(res.attempts.size(), 2u);
+  EXPECT_EQ(res.attempts[0].world, 3);
+  EXPECT_EQ(res.attempts[1].world, 2);
+  EXPECT_EQ(res.final_result.kernel_threads, rank_thread_budget(2));
 }
 
 TEST(Check, ThrowsGeofmError) {
