@@ -68,14 +68,17 @@ echo "== chaos soak: seeded campaigns + invariant audit =="
 # scripts/soak.sh <seconds>.
 ./build/bench/soak_chaos --seconds 45 --campaigns 8 --seed 806661
 
-echo "== kernel engine: parity suite under AddressSanitizer =="
+echo "== kernel engine + serving admission under AddressSanitizer =="
 # The SIMD kernels do tail-masked loads/stores and packed-panel staging;
-# ASan is the reviewer for off-by-one lane handling. Tests-only target —
-# the full ASan ctest pass is not in tier-1 budget.
+# ASan is the reviewer for off-by-one lane handling. The batcher moves
+# PendingRequests between its lanes and its shed list, so the overload
+# and shutdown suites ride along for erase/move slips. Tests-only target
+# — the full ASan ctest pass is not in tier-1 budget.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DGEOFM_SANITIZE=address
 cmake --build build-asan -j "$JOBS" --target geofm_tests
-./build-asan/tests/geofm_tests --gtest_filter='Kernel*:ThreadPool.*'
+./build-asan/tests/geofm_tests \
+    --gtest_filter='Kernel*:ThreadPool.*:ServeOverload.*:ServeShutdown.*'
 GEOFM_KERNELS=scalar ./build-asan/tests/geofm_tests --gtest_filter='Kernel*'
 
 if [[ "$SKIP_TSAN" == "0" ]]; then

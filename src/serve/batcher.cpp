@@ -20,13 +20,15 @@ struct ShedCounters {
   obs::Counter& overload;
   obs::Counter& deadline;
   obs::Counter& shutdown;
+  obs::Counter& fair_share;
 };
 
 ShedCounters& shed_counters() {
   auto& reg = obs::MetricsRegistry::instance();
   static ShedCounters counters{reg.counter("serve.shed_overload"),
                                reg.counter("serve.shed_deadline"),
-                               reg.counter("serve.shed_shutdown")};
+                               reg.counter("serve.shed_shutdown"),
+                               reg.counter("serve.shed_fair_share")};
   return counters;
 }
 
@@ -42,89 +44,160 @@ RequestBatcher::~RequestBatcher() {
   // Shutdown satellite contract: an accepted request's future is never
   // dropped. Whatever is still queued (no worker drained it) resolves
   // with a typed ShutdownError, not a broken promise.
-  std::vector<PendingRequest> orphaned;
+  ShedList sheds;
   {
     std::lock_guard<std::mutex> lk(mu_);
     closed_ = true;
     for (Queue& lane : lanes_) {
-      for (PendingRequest& p : lane) orphaned.push_back(std::move(p));
+      for (PendingRequest& p : lane) {
+        shed_locked(std::move(p), Shed::kShutdown, &sheds);
+      }
       lane.clear();
     }
-    stats_.shed_shutdown += static_cast<i64>(orphaned.size());
   }
-  if (!orphaned.empty()) {
-    shed_counters().shutdown.add(static_cast<double>(orphaned.size()));
-    fail(orphaned, std::make_exception_ptr(ShutdownError(
-                       "RequestBatcher destroyed with requests queued")));
-  }
+  complete(sheds);
 }
 
 i64 RequestBatcher::pending_locked() const {
   return static_cast<i64>(lanes_[0].size() + lanes_[1].size());
 }
 
-void RequestBatcher::collect_expired_locked(u64 now_ns,
-                                            std::vector<PendingRequest>* out) {
+void RequestBatcher::shed_locked(PendingRequest p, Shed why,
+                                 ShedList* sheds) {
+  if (why == Shed::kFull || why == Shed::kDisplaced) {
+    stats_.shed_overload += 1;
+    stats_.shed_fair_share += why == Shed::kDisplaced ? 1 : 0;
+  } else if (why == Shed::kShutdown) {
+    stats_.shed_shutdown += 1;
+  } else {
+    stats_.shed_deadline += 1;
+  }
+  sheds->emplace_back(std::move(p), why);
+}
+
+void RequestBatcher::complete(ShedList& sheds) {
+  ShedCounters& counters = shed_counters();
+  for (auto& [p, why] : sheds) {
+    std::exception_ptr error;
+    if (why == Shed::kFull || why == Shed::kDisplaced) {
+      counters.overload.add(1);
+      if (why == Shed::kDisplaced) counters.fair_share.add(1);
+      obs::trace_instant("serve.shed_overload", "serve");
+      error = std::make_exception_ptr(Overloaded(
+          why == Shed::kFull ? "admission queue full"
+                             : "displaced by an arrival that outranked it"));
+    } else if (why == Shed::kShutdown) {
+      counters.shutdown.add(1);
+      error = std::make_exception_ptr(
+          ShutdownError("RequestBatcher: closed before the request ran"));
+    } else {
+      counters.deadline.add(1);
+      obs::trace_instant("serve.shed_deadline", "serve");
+      error = std::make_exception_ptr(DeadlineExceeded(
+          why == Shed::kExpired ? "deadline expired while queued"
+                                : "cannot meet deadline: the queued work "
+                                  "ahead takes longer than its budget"));
+    }
+    p.promise.set_exception(error);
+  }
+  sheds.clear();
+}
+
+void RequestBatcher::shed_expired_locked(u64 now_ns, ShedList* sheds) {
   for (Queue& lane : lanes_) {
     for (auto it = lane.begin(); it != lane.end();) {
       if (it->deadline_ns != 0 && now_ns >= it->deadline_ns) {
-        out->push_back(std::move(*it));
+        shed_locked(std::move(*it), Shed::kExpired, sheds);
         it = lane.erase(it);
       } else {
         ++it;
       }
     }
   }
-  stats_.shed_deadline += static_cast<i64>(out->size());
 }
 
-void RequestBatcher::fail(std::vector<PendingRequest>& batch,
-                          const std::exception_ptr& error) {
-  for (PendingRequest& p : batch) p.promise.set_exception(error);
-  batch.clear();
-}
-
-bool RequestBatcher::fair_share_displace_locked(
-    const PendingRequest& incoming, std::vector<PendingRequest>* displaced) {
+bool RequestBatcher::displace_locked(const PendingRequest& incoming,
+                                     ShedList* sheds) {
+  // Victims come from the lowest lane holding anything; the queue is
+  // full, so one lane does.
+  const int low = lanes_[0].empty() ? 1 : 0;
+  const int arrival = static_cast<int>(incoming.request.lane);
+  if (arrival < low) return false;
   auto weight_of = [this](const std::string& tenant) {
     const auto it = opts_.tenant_weights.find(tenant);
     return it != opts_.tenant_weights.end() && it->second > 0 ? it->second
                                                               : 1.0;
   };
-  std::map<std::string, i64> queued;
-  for (const Queue& lane : lanes_) {
-    for (const PendingRequest& p : lane) queued[p.request.tenant] += 1;
-  }
-  // The most-over tenant: highest queued/weight ratio (strict > with the
-  // map's name order makes the pick deterministic).
-  std::string over_tenant;
-  double over_ratio = 0;
-  for (const auto& [tenant, count] : queued) {
-    const double ratio = static_cast<double>(count) / weight_of(tenant);
-    if (ratio > over_ratio) {
-      over_ratio = ratio;
-      over_tenant = tenant;
+  struct Load {
+    i64 queued = 0;       // over both lanes
+    bool in_low = false;  // has a request in the victim lane
+  };
+  std::map<std::string, Load> load;
+  for (int l = 0; l < 2; ++l) {
+    for (const PendingRequest& p : lanes_[l]) {
+      Load& t = load[p.request.tenant];
+      t.queued += 1;
+      t.in_low = t.in_low || l == low;
     }
   }
-  const std::string& mine = incoming.request.tenant;
-  const double my_ratio =
-      static_cast<double>(queued[mine] + 1) / weight_of(mine);
-  if (queued.empty() || my_ratio >= over_ratio || over_tenant == mine) {
-    return false;  // admitting us would not improve fairness
+  // The victim tenant: highest queued/weight in the victim lane (strict >
+  // in the map's name order makes the pick deterministic).
+  const std::string* victim = nullptr;
+  double victim_ratio = 0;
+  for (const auto& [tenant, t] : load) {
+    const double ratio = static_cast<double>(t.queued) / weight_of(tenant);
+    if (t.in_low && (victim == nullptr || ratio > victim_ratio)) {
+      victim = &tenant;
+      victim_ratio = ratio;
+    }
   }
-  // Displace the youngest request of the over tenant — bulk lane first,
-  // so fair-share never inverts the lane priority it rides under.
-  for (Queue* lane : {&lanes_[static_cast<int>(Lane::kBulk)],
-                      &lanes_[static_cast<int>(Lane::kInteractive)]}) {
-    for (auto it = lane->rbegin(); it != lane->rend(); ++it) {
-      if (it->request.tenant == over_tenant) {
-        displaced->push_back(std::move(*it));
-        lane->erase(std::next(it).base());
-        return true;
-      }
+  if (arrival == low) {
+    // Same lane: only another tenant still under the victim's load wins.
+    const std::string& tenant = incoming.request.tenant;
+    const auto it = load.find(tenant);
+    const i64 queued = it == load.end() ? 0 : it->second.queued;
+    const double ratio = static_cast<double>(queued + 1) / weight_of(tenant);
+    if (tenant == *victim || ratio >= victim_ratio) return false;
+  }
+  // The youngest victim request yields (LIFO: the oldest has waited
+  // longest and ships soonest).
+  Queue& lane = lanes_[low];
+  for (auto it = lane.rbegin(); it != lane.rend(); ++it) {
+    if (it->request.tenant == *victim) {
+      shed_locked(std::move(*it), Shed::kDisplaced, sheds);
+      lane.erase(std::next(it).base());
+      return true;
     }
   }
   return false;
+}
+
+std::optional<RequestBatcher::Shed> RequestBatcher::refusal_locked(
+    const PendingRequest& incoming, ShedList* sheds) {
+  if (closed_) return Shed::kShutdown;
+  // Deadline-aware admission: if the work already queued ahead takes
+  // longer (by the EWMA of recent batch times) than this request's
+  // whole budget, admitting it only converts a fast failure into a
+  // slow one. Requests without a deadline always pass this gate.
+  if (incoming.deadline_ns != 0 && ewma_batch_seconds_ > 0) {
+    const double batches_ahead = static_cast<double>(
+        pending_locked() / opts_.max_batch + 1);  // queue ahead + ours
+    const double budget_s =
+        static_cast<double>(incoming.deadline_ns - incoming.submitted_ns) *
+        1e-9;
+    if (batches_ahead * ewma_batch_seconds_ > budget_s) {
+      return Shed::kHopeless;
+    }
+  }
+  if (opts_.max_queue == 0 || pending_locked() < opts_.max_queue) {
+    return std::nullopt;
+  }
+  // Make room from expired entries first: they are dead weight.
+  shed_expired_locked(incoming.submitted_ns, sheds);
+  if (pending_locked() < opts_.max_queue || displace_locked(incoming, sheds)) {
+    return std::nullopt;
+  }
+  return Shed::kFull;
 }
 
 std::future<EmbedResult> RequestBatcher::submit(EmbedRequest req) {
@@ -138,122 +211,32 @@ std::future<EmbedResult> RequestBatcher::submit(EmbedRequest req) {
   pending.request = std::move(req);
   std::future<EmbedResult> fut = pending.promise.get_future();
 
-  std::vector<PendingRequest> expired;   // queued entries past deadline
-  std::vector<PendingRequest> displaced;  // bulk entries bumped by priority
-  std::vector<PendingRequest> unfair;  // entries bumped by tenant fair-share
-  std::exception_ptr rejection;  // set iff `pending` itself is shed
+  ShedList sheds;
+  bool admitted = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (closed_) {
-      stats_.shed_shutdown += 1;
-      rejection = std::make_exception_ptr(
-          ShutdownError("RequestBatcher: submit after close()"));
-    }
-    // Deadline-aware admission: if the work already queued ahead takes
-    // longer (by the EWMA of recent batch times) than this request's
-    // whole budget, admitting it only converts a fast failure into a
-    // slow one. Requests without a deadline always pass this gate.
-    if (rejection == nullptr && pending.deadline_ns != 0 &&
-        ewma_batch_seconds_ > 0) {
-      const double batches_ahead = static_cast<double>(
-          pending_locked() / opts_.max_batch + 1);  // queue ahead + ours
-      const double estimate_s = batches_ahead * ewma_batch_seconds_;
-      const double budget_s =
-          static_cast<double>(pending.deadline_ns - pending.submitted_ns) *
-          1e-9;
-      if (estimate_s > budget_s) {
-        stats_.shed_deadline += 1;
-        rejection = std::make_exception_ptr(DeadlineExceeded(
-            "cannot meet deadline: ~" + std::to_string(estimate_s) +
-            "s of queued work against a " + std::to_string(budget_s) +
-            "s budget"));
-      }
-    }
-    if (rejection == nullptr && opts_.max_queue > 0 &&
-        pending_locked() >= opts_.max_queue) {
-      // Make room from expired entries first: they are dead weight.
-      collect_expired_locked(pending.submitted_ns, &expired);
-      if (pending_locked() >= opts_.max_queue) {
-        Queue& bulk = lanes_[static_cast<int>(Lane::kBulk)];
-        if (lane == Lane::kInteractive && !bulk.empty()) {
-          // Priority admission: the youngest bulk request yields its
-          // slot (LIFO displacement — the oldest bulk request has
-          // waited longest and ships soonest).
-          displaced.push_back(std::move(bulk.back()));
-          bulk.pop_back();
-          stats_.shed_overload += 1;
-        } else if (!opts_.tenant_weights.empty() &&
-                   fair_share_displace_locked(pending, &unfair)) {
-          // Weighted fair-share: an under-share tenant's arrival takes
-          // the slot of the most-over tenant's youngest request.
-          stats_.shed_overload += 1;
-          stats_.shed_fair_share += 1;
-        } else {
-          stats_.shed_overload += 1;
-          rejection = std::make_exception_ptr(Overloaded(
-              "admission queue full (" + std::to_string(opts_.max_queue) +
-              " queued)"));
-        }
-      }
-    }
-    if (rejection == nullptr) {
+    if (const std::optional<Shed> why = refusal_locked(pending, &sheds)) {
+      shed_locked(std::move(pending), *why, &sheds);
+    } else {
       lanes_[static_cast<int>(lane)].push_back(std::move(pending));
       stats_.submitted += 1;
+      admitted = true;
     }
   }
 
   auto& reg = obs::MetricsRegistry::instance();
   static auto& submitted = reg.counter("serve.submitted");
   static auto& queue_depth = reg.gauge("serve.queue_depth");
-  if (rejection == nullptr) submitted.add(1);
+  if (admitted) submitted.add(1);
   queue_depth.set(static_cast<double>(this->pending()));
-  if (!expired.empty()) {
-    shed_counters().deadline.add(static_cast<double>(expired.size()));
-    for (std::size_t i = 0; i < expired.size(); ++i) {
-      obs::trace_instant("serve.shed_deadline", "serve");
-    }
-    fail(expired, std::make_exception_ptr(DeadlineExceeded(
-                      "deadline expired while queued")));
-  }
-  if (!displaced.empty()) {
-    shed_counters().overload.add(static_cast<double>(displaced.size()));
-    obs::trace_instant("serve.shed_overload", "serve");
-    fail(displaced, std::make_exception_ptr(Overloaded(
-                        "displaced by an interactive request")));
-  }
-  if (!unfair.empty()) {
-    static auto& fair_share =
-        obs::MetricsRegistry::instance().counter("serve.shed_fair_share");
-    shed_counters().overload.add(static_cast<double>(unfair.size()));
-    fair_share.add(static_cast<double>(unfair.size()));
-    obs::trace_instant("serve.shed_overload", "serve");
-    fail(unfair, std::make_exception_ptr(Overloaded(
-                     "displaced for tenant fair-share")));
-  }
-  if (rejection != nullptr) {
-    // Typed fast-fail: the future is ready before submit returns. Metric
-    // attribution by type (stats_ was already bumped under the lock).
-    try {
-      std::rethrow_exception(rejection);
-    } catch (const Overloaded&) {
-      shed_counters().overload.add(1);
-      obs::trace_instant("serve.shed_overload", "serve");
-    } catch (const DeadlineExceeded&) {
-      shed_counters().deadline.add(1);
-      obs::trace_instant("serve.shed_deadline", "serve");
-    } catch (const ShutdownError&) {
-      shed_counters().shutdown.add(1);
-    } catch (...) {
-    }
-    pending.promise.set_exception(rejection);
-    return fut;
-  }
-  cv_.notify_all();
+  // A refused request's future is ready before submit returns.
+  complete(sheds);
+  if (admitted) cv_.notify_all();
   return fut;
 }
 
 std::vector<PendingRequest> RequestBatcher::next_batch() {
-  std::vector<PendingRequest> expired;
+  ShedList expired;
   std::vector<PendingRequest> batch;
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -264,15 +247,11 @@ std::vector<PendingRequest> RequestBatcher::next_batch() {
       // Sweep expired entries before forming the batch: they must never
       // reach the encoder, and their futures resolve now, not after the
       // batch ahead of them computes.
-      collect_expired_locked(monotonic_ns(), &expired);
+      shed_expired_locked(monotonic_ns(), &expired);
       if (pending_locked() > 0 || closed_) break;
       // Everything queued had expired; resolve those and wait again.
       lk.unlock();
-      if (!expired.empty()) {
-        shed_counters().deadline.add(static_cast<double>(expired.size()));
-        fail(expired, std::make_exception_ptr(DeadlineExceeded(
-                          "deadline expired while queued")));
-      }
+      complete(expired);
       lk.lock();
     }
     if (pending_locked() > 0) {
@@ -318,11 +297,7 @@ std::vector<PendingRequest> RequestBatcher::next_batch() {
       }
     }
   }
-  if (!expired.empty()) {
-    shed_counters().deadline.add(static_cast<double>(expired.size()));
-    fail(expired, std::make_exception_ptr(DeadlineExceeded(
-                      "deadline expired while queued")));
-  }
+  complete(expired);
   static auto& queue_depth =
       obs::MetricsRegistry::instance().gauge("serve.queue_depth");
   queue_depth.set(static_cast<double>(pending()));

@@ -15,11 +15,16 @@
 // Overload discipline — the batcher never blocks a submitter and never
 // lets the queue grow without bound:
 //
-//   * Bounded admission (`max_queue` > 0): when the queue is full, the
-//     incoming request is rejected with a typed `Overloaded` error on
-//     its future (after first sweeping out any already-expired entries
-//     to make room). submit() itself stays non-blocking and non-throwing
-//     for load conditions — shedding is a *result*, not control flow.
+//   * Bounded admission (`max_queue` > 0) under one displacement order,
+//     lane first, tenant load (queued/weight over both lanes) second:
+//     when the queue is full after the expired sweep, the victim is the
+//     youngest request, in the lowest lane holding anything, of that
+//     lane's most-loaded tenant (ties break by name). A higher-lane
+//     arrival displaces it; a same-lane arrival only when its tenant is
+//     another one whose (queued+1)/weight is below the victim's. Else the
+//     arrival itself sheds. The loser's future gets a typed `Overloaded`
+//     — shedding is a *result*, not control flow: submit() neither
+//     blocks nor throws for load conditions.
 //   * Deadlines (`EmbedRequest::deadline_us`, relative to submit; 0 =
 //     none): a request that expires while queued is completed with
 //     `DeadlineExceeded` at the next queue touch and never reaches the
@@ -27,11 +32,10 @@
 //     admitted — the EWMA of recent batch service times says the queue
 //     ahead of it takes longer than its whole budget — is rejected
 //     up front with `DeadlineExceeded` (fail fast beats queue-then-expire).
-//   * Priority lanes (`EmbedRequest::lane`): kInteractive requests are
-//     batched ahead of kBulk ones, and when the queue is full an
-//     interactive arrival displaces the youngest queued bulk request
-//     (which is shed `Overloaded`) — cache-hit-eligible and tenant-head
-//     traffic is never starved behind a bulk-encode backlog.
+//
+// Every shed (full, displaced, expired, hopeless, shutdown) takes one
+// path: one stats bump, one `serve.shed_*` counter add, one typed
+// exception, and for overload and deadline sheds one trace instant.
 //
 // Shutdown: close() stops admission (later submits resolve with
 // `ShutdownError`) but next_batch() keeps returning queued work until
@@ -46,7 +50,9 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -77,7 +83,7 @@ class Degraded : public Error {
 };
 
 /// Admission lane. Interactive requests batch ahead of bulk ones and
-/// win admission against them when the queue is full.
+/// outrank them in the displacement order when the queue is full.
 enum class Lane : unsigned char { kBulk = 0, kInteractive = 1 };
 
 /// One embedding request. `image` is a single [C,H,W] scene.
@@ -112,15 +118,9 @@ struct BatcherOptions {
   i64 max_batch = 8;
   i64 max_delay_us = 1000;
   i64 max_queue = 0;  // queued-request bound across both lanes; 0 = unbounded
-  /// Per-tenant admission weights (fair-share shedding). Empty = off.
-  /// When the queue is full, an arriving request whose tenant is *under*
-  /// its weighted share displaces the youngest queued request of the
-  /// tenant *most over* its share (shed `Overloaded`), instead of being
-  /// rejected outright — so one tenant's flood cannot monopolize the
-  /// queue against a lighter tenant's trickle. A tenant absent from the
-  /// map weighs 1.0; weights only matter relative to each other
-  /// (steady-state queue slots split proportionally to weight among
-  /// tenants with pending demand).
+  /// Per-tenant weights, the second key of the displacement order. A
+  /// tenant absent from the map weighs 1.0; only ratios matter (queue
+  /// slots split by weight among tenants with pending demand).
   std::map<std::string, double> tenant_weights = {};
 };
 
@@ -130,8 +130,8 @@ struct BatcherStats {
   i64 shed_overload = 0;   // rejected or displaced: queue full
   i64 shed_deadline = 0;   // expired in queue or hopeless at admission
   i64 shed_shutdown = 0;   // completed with ShutdownError
-  i64 shed_fair_share = 0;  // of shed_overload: displaced by a tenant
-                            // under its fair share
+  i64 shed_fair_share = 0;  // of shed_overload: displaced by an arrival
+                            // that outranked it
 };
 
 class RequestBatcher {
@@ -168,21 +168,28 @@ class RequestBatcher {
 
  private:
   using Queue = std::deque<PendingRequest>;
+  enum class Shed : unsigned char {
+    kFull,       // queue full, the arrival ranks lowest
+    kDisplaced,  // queued, displaced by an arrival that outranked it
+    kExpired,    // deadline passed while queued
+    kHopeless,   // deadline cannot be met by the queue ahead
+    kShutdown,   // submitted after close() or queued at destruction
+  };
+  using ShedList = std::vector<std::pair<PendingRequest, Shed>>;
 
-  // All *_locked helpers require mu_ held. Shed promises are completed
-  // after the lock drops (set_exception can wake waiters).
+  // All *_locked helpers require mu_ held. shed_locked() does the stats
+  // half of a shed; complete() does the rest after the lock drops
+  // (set_exception can wake waiters).
   i64 pending_locked() const;
-  void collect_expired_locked(u64 now_ns, std::vector<PendingRequest>* out);
-  /// Fair-share arbitration for a full queue: if `incoming`'s tenant is
-  /// under its weighted share and some tenant is over its own, moves the
-  /// youngest queued request of the most-over tenant into `displaced`
-  /// and returns true (the caller admits `incoming` into the freed
-  /// slot). Returns false when the incoming tenant holds no fairness
-  /// claim — the queue is full of tenants at or under their shares.
-  bool fair_share_displace_locked(const PendingRequest& incoming,
-                                  std::vector<PendingRequest>* displaced);
-  static void fail(std::vector<PendingRequest>& batch,
-                   const std::exception_ptr& error);
+  void shed_locked(PendingRequest p, Shed why, ShedList* sheds);
+  void shed_expired_locked(u64 now_ns, ShedList* sheds);
+  /// Why `incoming` is refused, or nullopt to admit it; may shed queued
+  /// requests (expired ones, then the displacement victim) to make room.
+  std::optional<Shed> refusal_locked(const PendingRequest& incoming,
+                                     ShedList* sheds);
+  /// Sheds the queued request `incoming` outranks; false if none.
+  bool displace_locked(const PendingRequest& incoming, ShedList* sheds);
+  static void complete(ShedList& sheds);
 
   const BatcherOptions opts_;
   mutable std::mutex mu_;

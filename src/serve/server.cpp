@@ -37,13 +37,14 @@ std::vector<std::string> resolve_sources(const ServerConfig& cfg) {
   return {cfg.checkpoint_root};
 }
 
-/// 1 while the reload circuit breaker is open, 0 once a reload succeeds.
-/// A gauge (not just the serve.breaker_trips counter) so the Prometheus
-/// exposition shows the breaker's *current* state, alertable directly.
-obs::Gauge& breaker_gauge() {
-  static auto& gauge =
-      obs::MetricsRegistry::instance().gauge("serve.breaker");
-  return gauge;
+/// The degraded-modes table's precedence: cache-only > breaker-open >
+/// mirror > healthy.
+DegradedMode derive_mode(bool has_weights, std::size_t source_index,
+                         bool breaker_open) {
+  if (!has_weights) return DegradedMode::kCacheOnly;
+  if (breaker_open) return DegradedMode::kBreakerOpen;
+  if (source_index > 0) return DegradedMode::kMirror;
+  return DegradedMode::kHealthy;
 }
 
 }  // namespace
@@ -56,7 +57,6 @@ ModelServer::ModelServer(ServerConfig cfg)
       cache_(cfg_.cache_capacity) {
   GEOFM_CHECK(!sources_.empty() && !sources_.front().empty(),
               "ModelServer needs at least one checkpoint source");
-  breaker_gauge().set(0);  // present in the exposition from the start
   // Initial load walks the same failover order as every reload: newest
   // step first, primary wins ties, mirrors verified before trusted.
   const auto candidates = ckpt::published_sources(sources_);
@@ -84,7 +84,6 @@ ModelServer::ModelServer(ServerConfig cfg)
     current_ = std::make_shared<LoadedModel>();
     GEOFM_WARN("serve: starting in cache-only degraded mode (no loadable "
                "checkpoint); misses will be shed until one publishes");
-    set_degraded(DegradedMode::kCacheOnly);
   } else {
     reloads_.fetch_add(1, std::memory_order_relaxed);
     static auto& reloads =
@@ -97,12 +96,11 @@ ModelServer::ModelServer(ServerConfig cfg)
       failover_m.add(1);
       obs::trace_instant("serve.failover", "serve");
     }
-    set_degraded(current_->source_index > 0 ? DegradedMode::kMirror
-                                            : DegradedMode::kHealthy);
     GEOFM_INFO("serve: serving step " << current_->step << " from "
                                       << current_->source);
   }
 
+  publish_state();
   worker_ = std::thread([this] { worker_loop(); });
   if (cfg_.poll_interval_seconds > 0) {
     poller_ = std::thread([this] { poller_loop(); });
@@ -132,10 +130,6 @@ std::future<EmbedResult> ModelServer::submit(EmbedRequest req) {
                 " elements, served model expects " + std::to_string(expect));
   }
   if (req.deadline_us <= 0) req.deadline_us = cfg_.default_deadline_us;
-  if (cfg_.auto_priority && req.lane == Lane::kBulk &&
-      (!req.key.empty() || !req.tenant.empty())) {
-    req.lane = Lane::kInteractive;
-  }
   return batcher_.submit(std::move(req));
 }
 
@@ -157,14 +151,19 @@ i64 ModelServer::model_step() const { return current()->step; }
 i64 ModelServer::model_epoch() const { return current()->epoch; }
 
 DegradedMode ModelServer::degraded_mode() const {
-  return static_cast<DegradedMode>(degraded_.load(std::memory_order_relaxed));
+  const auto cur = current();
+  return derive_mode(cur->model != nullptr, cur->source_index,
+                     breaker_open_.load(std::memory_order_relaxed));
 }
 
-void ModelServer::set_degraded(DegradedMode mode) {
-  degraded_.store(static_cast<int>(mode), std::memory_order_relaxed);
-  static auto& gauge =
-      obs::MetricsRegistry::instance().gauge("serve.degraded");
-  gauge.set(static_cast<double>(static_cast<int>(mode)));
+void ModelServer::publish_state() {
+  auto& reg = obs::MetricsRegistry::instance();
+  // Gauges, not just the trip counter, so the Prometheus exposition shows
+  // the *current* state, alertable directly.
+  static auto& degraded = reg.gauge("serve.degraded");
+  static auto& breaker = reg.gauge("serve.breaker");
+  breaker.set(breaker_open_.load(std::memory_order_relaxed) ? 1 : 0);
+  degraded.set(static_cast<double>(static_cast<int>(degraded_mode())));
 }
 
 std::shared_ptr<ModelServer::LoadedModel> ModelServer::load_model(
@@ -264,13 +263,7 @@ bool ModelServer::try_reload(bool force) {
     breaker_attempt_ = 0;
     breaker_open_until_ = 0;
     breaker_open_.store(false, std::memory_order_relaxed);
-    breaker_gauge().set(0);
-    set_degraded(fresh_source > 0 ? DegradedMode::kMirror
-                                  : DegradedMode::kHealthy);
-    return true;
-  }
-
-  if (attempted) {
+  } else if (attempted) {
     // Every candidate this tick failed to verify or load. Count the tick
     // toward the breaker; at the threshold, open it with escalating
     // backoff so the poller stops hammering a torn publication. Once the
@@ -286,15 +279,12 @@ bool ModelServer::try_reload(bool force) {
       consecutive_failed_ticks_ = 0;  // the next window starts after probe
       breaker_trips_.fetch_add(1, std::memory_order_relaxed);
       breaker_open_.store(true, std::memory_order_relaxed);
-      breaker_gauge().set(1);
       static auto& trips_m =
           obs::MetricsRegistry::instance().counter("serve.breaker_trips");
       trips_m.add(1);
       obs::trace_instant("serve.breaker_open", "serve");
       GEOFM_WARN("serve: reload circuit breaker open for "
                  << open_for << "s (trip " << breaker_attempt_ << ")");
-      set_degraded(cache_only ? DegradedMode::kCacheOnly
-                              : DegradedMode::kBreakerOpen);
     }
   } else if (candidates.empty() && !cache_only && cfg_.unload_on_sourceless) {
     // Every source vanished (a recall, not a torn write). Drop the
@@ -315,9 +305,9 @@ bool ModelServer::try_reload(bool force) {
                              << " checkpoint source(s) are gone; entering "
                                 "cache-only degraded mode at step "
                              << cur->step);
-    set_degraded(DegradedMode::kCacheOnly);
   }
-  return false;
+  publish_state();
+  return fresh != nullptr;
 }
 
 bool ModelServer::reload_now() { return try_reload(/*force=*/true); }
@@ -511,8 +501,9 @@ ServerStats ModelServer::stats() const {
   s.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
   s.breaker_open = breaker_open_.load(std::memory_order_relaxed);
   s.failovers = failovers_.load(std::memory_order_relaxed);
-  s.degraded = degraded_mode();
   const auto cur = current();
+  s.degraded = derive_mode(cur->model != nullptr, cur->source_index,
+                           s.breaker_open);
   s.model_step = cur->step;
   s.model_epoch = cur->epoch;
   s.model_source = cur->source_index;

@@ -86,7 +86,10 @@
 namespace geofm::serve {
 
 /// What the server is degraded to, if anything. Reported by stats() and
-/// the `serve.degraded` gauge (as the numeric value).
+/// the `serve.degraded` gauge (as the numeric value). Derived, never set:
+/// from the pinned model (no weights = cache-only, a non-primary source =
+/// mirror) and the breaker, with precedence cache-only > breaker-open >
+/// mirror > healthy.
 enum class DegradedMode : int {
   kHealthy = 0,     // serving the primary source, breaker closed
   kBreakerOpen = 1, // reloads suspended behind the circuit breaker
@@ -106,10 +109,6 @@ struct ServerConfig {
   i64 max_delay_us = 1000;
   i64 max_queue = 1024;       // bounded admission; 0 = unbounded (no shed)
   i64 default_deadline_us = 0;  // applied when a request carries none
-  // Promote cache-hit-eligible (non-empty key) and tenant-head requests
-  // to the interactive lane automatically, so they are not starved
-  // behind bulk encodes. Explicit EmbedRequest::lane always wins.
-  bool auto_priority = false;
   i64 cache_capacity = 1024;  // embedding-cache entries; 0 disables
   double poll_interval_seconds = 0.05;  // <= 0 disables the poller thread
   models::MAE::Pool pool = models::MAE::Pool::kGap;
@@ -127,8 +126,8 @@ struct ServerConfig {
   bool allow_degraded_start = false;    // cache-only instead of ctor throw
   bool unload_on_sourceless = false;    // drop weights when all sources die
   /// Per-tenant admission weights, passed through to the batcher's
-  /// fair-share shedding (see BatcherOptions::tenant_weights). Empty =
-  /// lanes only, no tenant arbitration.
+  /// displacement order (see BatcherOptions::tenant_weights). Empty =
+  /// every tenant weighs 1.
   std::map<std::string, double> tenant_weights;
 };
 
@@ -146,7 +145,8 @@ struct ServerStats {
   i64 shed_shutdown = 0;    // typed sheds: completed at shutdown
   i64 shed_degraded = 0;    // typed sheds: cache-only misses
   i64 breaker_trips = 0;    // circuit-breaker opens
-  i64 shed_fair_share = 0;  // of shed_overload: tenant fair-share bumps
+  i64 shed_fair_share = 0;  // of shed_overload: displaced by an arrival
+                            // that outranked it
   i64 failovers = 0;        // swaps restored from a non-primary source
   bool breaker_open = false;  // reload circuit breaker currently open
   DegradedMode degraded = DegradedMode::kHealthy;
@@ -215,7 +215,10 @@ class ModelServer {
   /// One reload pass over the sources. `force` = ignore an open breaker.
   bool try_reload(bool force);
   void install(std::shared_ptr<LoadedModel> fresh);
-  void set_degraded(DegradedMode mode);
+  /// Writes the `serve.degraded` and `serve.breaker` gauges from the
+  /// current facts. Called whenever the pinned model or the breaker
+  /// changes (constructor, then under reload_mu_).
+  void publish_state();
   void worker_loop();
   void poller_loop();
   void process_batch(std::vector<PendingRequest>& batch);
@@ -242,9 +245,8 @@ class ModelServer {
   std::thread worker_;
   std::thread poller_;
   std::atomic<bool> stopped_{false};
-  std::atomic<int> degraded_{0};  // DegradedMode, readable without locks
-  // Breaker state mirrored out of reload_mu_ for stats() and the
-  // `serve.breaker` gauge (prometheus_text renders every gauge).
+  // Breaker state mirrored out of reload_mu_ for stats(), degraded_mode()
+  // and the gauges.
   std::atomic<bool> breaker_open_{false};
 
   std::atomic<i64> requests_{0};

@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <utility>
 
 namespace geofm {
 namespace {
 
 // The pool this thread's parallel regions run on; null means global().
 thread_local ThreadPool* t_pool = nullptr;
+
+// The pool whose region this thread is running as its caller (and so
+// holds that pool's dispatch lock); null outside any region.
+thread_local const ThreadPool* t_dispatching = nullptr;
 
 }  // namespace
 
@@ -80,9 +85,11 @@ void ThreadPool::parallel_for(i64 n, const std::function<void(i64, i64)>& fn,
 
   // Only one parallel region may own the pool at a time. Concurrent or
   // nested callers degrade gracefully to inline execution. Rank threads
-  // never meet here: each runs on its own RankThreadBudget pool.
-  std::unique_lock<std::mutex> dispatch(dispatch_mu_, std::try_to_lock);
-  if (!dispatch.owns_lock()) {
+  // never meet here: each runs on its own RankThreadBudget pool. A region
+  // nested in the caller's own chunk runs inline before it could try_lock
+  // the dispatch lock this thread holds (undefined for std::mutex).
+  std::unique_lock<std::mutex> dispatch(dispatch_mu_, std::defer_lock);
+  if (t_dispatching == this || !dispatch.try_lock()) {
     fn(0, n);
     return;
   }
@@ -105,12 +112,14 @@ void ThreadPool::parallel_for(i64 n, const std::function<void(i64, i64)>& fn,
   cv_start_.notify_all();
 
   // The caller participates instead of idling.
+  const ThreadPool* const outer = std::exchange(t_dispatching, this);
   std::exception_ptr caller_error;
   try {
     run_chunks(task);
   } catch (...) {
     caller_error = std::current_exception();
   }
+  t_dispatching = outer;
 
   {
     std::unique_lock<std::mutex> lk(mu_);

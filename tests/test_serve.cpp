@@ -768,9 +768,50 @@ TEST(ServeOverload, InteractiveDisplacesYoungestBulk) {
   (void)fut_inter.get();
 }
 
+// The lane is the first key of the displacement order: a bulk arrival
+// never displaces a queued interactive request, whatever the tenants'
+// weighted loads. Here B is under its share (1/1 < 2/1), but it rides
+// the lower lane, so B is the one shed.
+TEST(ServeOverload, BulkArrivalNeverDisplacesInteractive) {
+  serve::RequestBatcher b({/*max_batch=*/8, /*max_delay_us=*/0,
+                           /*max_queue=*/2,
+                           /*tenant_weights=*/{{"A", 1.0}, {"B", 1.0}}});
+  std::vector<std::future<serve::EmbedResult>> a_futs;
+  for (int i = 0; i < 2; ++i) {
+    serve::EmbedRequest req;
+    req.key = "A" + std::to_string(i);
+    req.tenant = "A";
+    req.lane = serve::Lane::kInteractive;
+    a_futs.push_back(b.submit(std::move(req)));
+  }
+  serve::EmbedRequest bulk;
+  bulk.key = "B";
+  bulk.tenant = "B";
+  auto fut_bulk = b.submit(std::move(bulk));
+
+  ASSERT_EQ(fut_bulk.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_THROW(fut_bulk.get(), serve::Overloaded);
+  const serve::BatcherStats stats = b.stats();
+  EXPECT_EQ(stats.shed_overload, 1);
+  EXPECT_EQ(stats.shed_fair_share, 0);
+
+  std::vector<serve::PendingRequest> batch = b.next_batch();
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].request.key, "A0");
+  EXPECT_EQ(batch[1].request.key, "A1");
+  for (auto& p : batch) p.promise.set_value({});
+  for (auto& f : a_futs) (void)f.get();
+}
+
 // A request that expires while queued resolves with DeadlineExceeded at
-// the next queue touch and never reaches the worker's batch.
+// the next queue touch and never reaches the worker's batch — and, like
+// every deadline shed, leaves one `serve.shed_deadline` instant for the
+// run-health report.
 TEST(ServeOverload, ExpiredRequestIsShedNotBatched) {
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.enable();
+  recorder.clear();
   serve::RequestBatcher b({/*max_batch=*/4, /*max_delay_us=*/0});
   serve::EmbedRequest doomed;
   doomed.key = "doomed";
@@ -786,6 +827,15 @@ TEST(ServeOverload, ExpiredRequestIsShedNotBatched) {
   EXPECT_EQ(batch[0].request.key, "fine");
   EXPECT_THROW(fut_doomed.get(), serve::DeadlineExceeded);
   EXPECT_EQ(b.stats().shed_deadline, 1);
+  int deadline_instants = 0;
+  for (const auto& e : recorder.snapshot()) {
+    if (e.phase == obs::TraceEvent::Phase::kInstant && e.name != nullptr &&
+        std::strcmp(e.name, "serve.shed_deadline") == 0) {
+      ++deadline_instants;
+    }
+  }
+  recorder.disable();
+  EXPECT_EQ(deadline_instants, 1);
   batch[0].promise.set_value({});
   (void)fut_fine.get();
 }

@@ -133,6 +133,33 @@ TEST(ThreadPool, ConcurrentCallersDegradeGracefully) {
   EXPECT_EQ(total.load(), 2 * 20 * 5000);
 }
 
+TEST(ThreadPool, NestedRegionRunsInlineOnTheChunksThread) {
+  // A region nested inside a chunk — on the caller (which holds the
+  // dispatch lock) or on a worker — runs as one inline chunk on the
+  // thread that ran the enclosing chunk.
+  ThreadPool pool(2);
+  std::atomic<i64> covered{0};
+  std::atomic<int> split_or_moved{0};
+  pool.parallel_for(
+      4000,
+      [&](i64 b, i64 e) {
+        const std::thread::id outer = std::this_thread::get_id();
+        pool.parallel_for(
+            4000,
+            [&](i64 nb, i64 ne) {
+              if (nb != 0 || ne != 4000 ||
+                  std::this_thread::get_id() != outer) {
+                split_or_moved++;
+              }
+            },
+            /*grain=*/1);
+        covered += e - b;
+      },
+      /*grain=*/100);
+  EXPECT_EQ(covered.load(), 4000);
+  EXPECT_EQ(split_or_moved.load(), 0);
+}
+
 TEST(ThreadPool, GrainAtLeastRangeTakesSingleChunkBypass) {
   // grain >= n must run inline on the caller thread as one chunk, even
   // when workers are available (no dispatch lock, no fan-out).
