@@ -19,8 +19,8 @@ int main() {
   TextTable t({"Scheme", "message granularity", "ips@32n", "comm calls"});
   for (i64 mb : {1, 5, 25, 100, 400}) {
     ParallelPlan plan;
-    plan.kind = ParallelPlan::Kind::kDdp;
-    plan.ddp_bucket_bytes = mb * 1024 * 1024;
+    plan.fsdp.strategy = parallel::ShardingStrategy::kDdp;
+    plan.fsdp.ddp_bucket_cap_bytes = mb * 1024 * 1024;
     TrainingSimulator sim(workload, machine, 32, plan);
     const auto step = sim.simulate_step();
     t.add_row({"DDP", fmt_i(mb) + " MB buckets",

@@ -20,7 +20,7 @@ struct Plan {
 std::vector<Plan> plans() {
   std::vector<Plan> out;
   ParallelPlan ddp;
-  ddp.kind = ParallelPlan::Kind::kDdp;
+  ddp.fsdp.strategy = ShardingStrategy::kDdp;
   out.push_back({"DDP", ddp});
   ParallelPlan ns;
   ns.fsdp.strategy = ShardingStrategy::kNoShard;

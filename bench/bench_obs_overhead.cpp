@@ -11,8 +11,8 @@
 // snapshot — the abort-path cost, paid once per failure).
 //
 // Prints a table and writes <cache>/BENCH_obs.json — the regression
-// anchor for the observability stack; the span budget gate enforces the
-// sampler share (`telemetry.sample`) on every CI run.
+// anchor for the observability stack; the span budget gate checks the
+// sampler's counted work (visited events, ticks) on every CI run.
 #include <algorithm>
 #include <filesystem>
 

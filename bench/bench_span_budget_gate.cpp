@@ -2,8 +2,9 @@
 // pretraining workload with tracing enabled, aggregates time per span
 // name across every rank, and fails (exit 1) if any budgeted span's share
 // of total step time exceeds its budget in scripts/span_budgets.txt, or
-// if an exact work count is off (the loader's per-rank render count, which
-// replaced the `step.fetch` share budget).
+// if an exact work count is off: the loader's per-rank render count (which
+// replaced the `step.fetch` share budget) and the telemetry sampler's
+// visited events and ticks (which replaced the `telemetry.sample` one).
 //
 // Budgets are *fractions of summed `step` span time*, not absolute
 // seconds, so the gate is stable across machine speeds; they are set with
@@ -14,6 +15,7 @@
 // write — not to police noise.
 //
 // Usage:  bench_span_budget_gate [budgets-file]
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -67,18 +69,21 @@ int main(int argc, char** argv) {
   const std::string ckpt_root = "/tmp/geofm_span_budget_gate_ckpt";
   std::filesystem::remove_all(ckpt_root);
 
-  // The 10 Hz telemetry sampler runs across both training phases so its
-  // own span (`telemetry.sample`) is budgeted like any other: the
-  // "watching the run costs <1% of step time" claim is enforced here,
-  // not asserted.
+  // The 10 Hz telemetry sampler runs across both training phases. Its
+  // cost is checked by counted work, not as a share of step time: a tick
+  // must visit only the events published since the previous one.
   const std::string telemetry_dir = "/tmp/geofm_span_budget_gate_telemetry";
   std::filesystem::remove_all(telemetry_dir);
-  {
-    obs::telemetry::TelemetryOptions topts;
-    topts.dir = telemetry_dir;
-    topts.interval_seconds = 0.1;
-    obs::telemetry::start(topts);
-  }
+  auto& ticks = obs::MetricsRegistry::instance().counter("telemetry.ticks");
+  auto& visited =
+      obs::MetricsRegistry::instance().counter("telemetry.events_visited");
+  const double ticks_before = ticks.value();
+  const double visited_before = visited.value();
+  obs::telemetry::TelemetryOptions topts;
+  topts.dir = telemetry_dir;
+  topts.interval_seconds = 0.1;
+  const double telemetry_t0 = monotonic_seconds();
+  obs::telemetry::start(topts);
 
   train::DistributedPretrainConfig cfg;
   cfg.steps = 10;
@@ -146,11 +151,18 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(elastic_root);
   std::filesystem::remove_all(mirror_root);
 
-  // The sampler's budget is its cost as a share of *training* step time;
-  // stop it before the serving phase, which emits no `step` spans and
-  // would otherwise inflate the sampler's share with idle ticks. Final
-  // tick lands here; only the span cost matters, the series is discarded.
+  // Stop the sampler before the serving phase; its final tick lands here,
+  // and the series itself is discarded. Every training thread has joined,
+  // so the only event recorded after the final tick's drain is that tick's
+  // own span: every other event since clear() must have been visited
+  // exactly once. A tick that re-scans the trace visits events again; one
+  // that skips a track misses them.
   obs::telemetry::stop();
+  const double telemetry_seconds = monotonic_seconds() - telemetry_t0;
+  const double telemetry_ticks = ticks.value() - ticks_before;
+  const double events_visited = visited.value() - visited_before;
+  const double events_recorded =
+      static_cast<double>(recorder.snapshot().size()) - 1;
   std::filesystem::remove_all(telemetry_dir);
 
   // Phase 3: the serving tier over the phase-1 checkpoints — start a
@@ -261,6 +273,19 @@ int main(int argc, char** argv) {
               renders_ok ? "ok  " : "FAIL", "loader.samples_rendered",
               samples, batches, local_batch);
   if (!renders_ok) ++violations;
+  const bool visits_ok = events_visited == events_recorded;
+  std::printf("  %s  %-22s %.0f visited = %.0f recorded (exact)\n",
+              visits_ok ? "ok  " : "FAIL", "telemetry.events", events_visited,
+              events_recorded);
+  if (!visits_ok) ++violations;
+  // The loop waits one interval between ticks and stop() adds a final one.
+  const double ticks_expected = telemetry_seconds / topts.interval_seconds;
+  const bool ticks_ok = std::abs(telemetry_ticks - ticks_expected) <= 2;
+  std::printf("  %s  %-22s %.0f ticks in %.2f s at %.0f Hz (expect %.1f +- "
+              "2)\n",
+              ticks_ok ? "ok  " : "FAIL", "telemetry.ticks", telemetry_ticks,
+              telemetry_seconds, 1 / topts.interval_seconds, ticks_expected);
+  if (!ticks_ok) ++violations;
   if (violations > 0) {
     std::fprintf(stderr, "span budget gate: %d check(s) failed\n",
                  violations);

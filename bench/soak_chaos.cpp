@@ -193,6 +193,7 @@ int main(int argc, char** argv) {
 
   i64 ran = 0;
   i64 failed = 0;
+  i64 displaced = 0;  // shed_fair_share summed over every campaign
   while ((ran == 0 || elapsed() < budget_seconds) &&
          (max_campaigns == 0 || ran < max_campaigns)) {
     const u64 seed = base_seed + static_cast<u64>(ran);
@@ -222,6 +223,13 @@ int main(int argc, char** argv) {
     try {
       const auto res = geofm::train::run_elastic(cfg, corpus);
       const auto audit = flood_server(campaign, primary, mirror);
+      std::printf("serve: %lld issued, %lld shed for overload (%lld "
+                  "displaced), %lld for deadline\n",
+                  static_cast<long long>(audit.issued),
+                  static_cast<long long>(audit.stats.shed_overload),
+                  static_cast<long long>(audit.stats.shed_fair_share),
+                  static_cast<long long>(audit.stats.shed_deadline));
+      displaced += audit.stats.shed_fair_share;
 
       geofm::chaos::InvariantInputs in;
       in.config = &cfg;
@@ -251,9 +259,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("soak: %lld campaign(s) in %.1fs, %lld violated\n",
+  std::printf("soak: %lld campaign(s) in %.1fs, %lld violated, %lld "
+              "displaced\n",
               static_cast<long long>(ran), elapsed(),
-              static_cast<long long>(failed));
+              static_cast<long long>(failed),
+              static_cast<long long>(displaced));
   if (failed == 0) fs::remove_all(soak_root);
+  // The flood exists to drive the admission displacement order; a soak in
+  // which no arrival ever displaced a queued request did not test it.
+  if (displaced == 0) {
+    std::printf("VIOLATION [serve] no request was displaced over the soak\n");
+    return 1;
+  }
   return failed == 0 ? 0 : 1;
 }

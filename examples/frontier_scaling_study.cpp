@@ -22,11 +22,9 @@ struct Candidate {
 
 std::vector<Candidate> candidates(int world) {
   std::vector<Candidate> out;
-  ParallelPlan ddp;
-  ddp.kind = ParallelPlan::Kind::kDdp;
-  out.push_back({"DDP", ddp});
   for (auto [s, name] :
-       {std::pair{ShardingStrategy::kNoShard, "NO_SHARD"},
+       {std::pair{ShardingStrategy::kDdp, "DDP"},
+        std::pair{ShardingStrategy::kNoShard, "NO_SHARD"},
         std::pair{ShardingStrategy::kFullShard, "FULL_SHARD"},
         std::pair{ShardingStrategy::kShardGradOp, "SHARD_GRAD_OP"}}) {
     ParallelPlan p;

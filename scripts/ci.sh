@@ -41,12 +41,13 @@ echo "== trace-span budget gate =="
 # checkpoint-snapshot cost, the elastic-recovery path (recover.*, including
 # grow-back readmission), and the uploader's publish-side hook
 # (upload.exposed) as fractions of step time (budgets in
-# scripts/span_budgets.txt), plus an exact loader render count.
+# scripts/span_budgets.txt), plus exact counts: loader renders, and the
+# telemetry sampler's visited events and ticks.
 ./build/bench/bench_span_budget_gate scripts/span_budgets.txt
 
 echo "== observability overhead =="
 # Overhead anchor: BENCH_obs.json records trace-scope, flight-capture,
-# and sampler cost (the budget gate above enforces telemetry.sample).
+# and sampler cost (the budget gate above counts the sampler's work).
 GEOFM_BENCH_QUICK=1 GEOFM_BENCH_CACHE=/tmp/geofm_ci_bench_cache \
     ./build/bench/bench_obs_overhead
 
@@ -95,10 +96,11 @@ if [[ "$SKIP_TSAN" == "0" ]]; then
   GEOFM_KERNELS=scalar ./build-tsan/tests/geofm_tests --gtest_filter='Kernel*'
   echo "== TSan: FSDP step plan, extra schedules =="
   # Forward lookahead and HYBRID wait-then-post chaining keep several
-  # collectives per rank in flight across two sub-communicators; repeat
-  # the FSDP suites for schedule diversity.
+  # collectives per rank in flight across two sub-communicators, and DDP
+  # posts bucket all-reduces from the backward hooks while later stages
+  # still compute; repeat the FSDP and DDP suites for schedule diversity.
   ./build-tsan/tests/geofm_tests \
-      --gtest_filter='*FsdpEquivalence.*:FsdpSchedule.*:FsdpLimiter.*:FsdpPlan.*' \
+      --gtest_filter='*FsdpEquivalence.*:FsdpSchedule.*:FsdpLimiter.*:FsdpPlan.*:Ddp.*' \
       --gtest_repeat=3
   echo "== TSan: fault-injected restart, extra schedules =="
   # The abort -> unwind -> async-writer-drain -> resume path is the most

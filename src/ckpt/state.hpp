@@ -5,15 +5,16 @@
 // a range this rank owns and the Checkpointer stages/writes it; on load,
 // each slice is a range this rank wants and CheckpointReader assembles it
 // from whatever ranks wrote (reshard.hpp). The builders below produce the
-// descriptions for the repo's three training topologies:
+// descriptions for the repo's training topologies:
 //
-//   * replicated_state — plain modules and DDP. Every rank holds the full
-//     model, so on save each rank writes an even 1/W contiguous split of
-//     every tensor (the checkpoint is sharded on disk even though memory
-//     is not), and on load every rank requests full tensors.
-//   * fsdp_state — FSDP in any strategy. Slices come straight from
-//     Fsdp::checkpoint_layout(): each rank saves/loads exactly its flat
-//     shard's logical ranges, so no rank ever materializes the model.
+//   * replicated_state — plain modules. Every rank holds the full model,
+//     so on save each rank writes an even 1/W contiguous split of every
+//     tensor (the checkpoint is sharded on disk even though memory is
+//     not), and on load every rank requests full tensors.
+//   * fsdp_state — Fsdp in any strategy, DDP included. Slices come
+//     straight from Fsdp::checkpoint_layout(): each rank saves/loads
+//     exactly its flat shard's logical ranges, so no rank ever
+//     materializes the model.
 //
 // Optimizer state rides along under slot-derived names: the slot tensor
 // for parameter `p` and slot `s` is the logical tensor "`p`#`s`" with
@@ -50,7 +51,7 @@ struct StateDesc {
 /// Logical tensor name of an optimizer slot ("<param>#<slot>").
 std::string slot_tensor_name(const std::string& param_name, const char* slot);
 
-/// State description for replicated training (plain module or DDP).
+/// State description for a replicated plain module.
 /// `optimizer` may be null (parameters only). With `for_save`, rank
 /// `rank` of `world` contributes an even contiguous 1/world split of
 /// every tensor; otherwise every tensor is requested in full.

@@ -46,7 +46,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "optim/optimizer.hpp"
-#include "parallel/ddp.hpp"
 #include "parallel/fsdp.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cache.hpp"

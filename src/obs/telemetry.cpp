@@ -73,12 +73,19 @@ struct Sampler {
 
   void tick() {
     TraceScope span("telemetry.sample", "obs");
+    // Work counts: over a run, the events visited must sum to the events
+    // recorded (each visited once), whatever the ticks cost in wall time.
+    static auto& ticks = MetricsRegistry::instance().counter("telemetry.ticks");
+    static auto& visited =
+        MetricsRegistry::instance().counter("telemetry.events_visited");
 
     // Per-rank phase seconds from spans published since the last tick.
     // rank -> phase name -> seconds this interval.
     std::map<int, std::map<std::string, double>> ranks;
+    u64 n_visited = 0;
     TraceRecorder::instance().drain_new_events(
-        cursor, [&ranks](const TraceEvent& e) {
+        cursor, [&ranks, &n_visited](const TraceEvent& e) {
+          ++n_visited;
           if (e.phase != TraceEvent::Phase::kComplete || e.rank < 0) return;
           // Cheap prefilter before any strcmp: the drain visits EVERY
           // span the ranks emit (kernel.gemm alone is millions on a real
@@ -104,6 +111,8 @@ struct Sampler {
             }
           }
         });
+    ticks.add(1);
+    visited.add(static_cast<double>(n_visited));
 
     auto cur = MetricsRegistry::instance().snapshot();
     const auto d = MetricsRegistry::delta(prev, cur);

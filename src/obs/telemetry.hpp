@@ -13,8 +13,10 @@
 //
 // Hot-path cost is ~zero by construction: ranks pay nothing beyond the
 // tracing they already do — the sampler is a pure consumer on its own
-// thread. Each tick runs inside a `telemetry.sample` span, so the span
-// budget gate bounds the sampler's own cost as a fraction of step time.
+// thread. Each tick runs inside a `telemetry.sample` span and counts its
+// work (`telemetry.ticks`, `telemetry.events_visited`), so the span budget
+// gate checks exactly that every recorded event is visited once and that
+// the sampler ticks at its rate.
 //
 // Activation: `telemetry::start({dir})` programmatically, or set
 // `GEOFM_TELEMETRY=dir` (+ optional `GEOFM_TELEMETRY_INTERVAL` seconds,

@@ -34,8 +34,17 @@ Fsdp::Fsdp(nn::StagedModel& model, comm::Communicator world,
   // gather schedule (the first step is not special).
   drop_full_parameters();
 
-  plan_ = plan_step(n_units(), options_, shard_comm_->size(),
+  std::vector<i64> stage_elements;
+  for (const Unit& unit : units_) stage_elements.push_back(unit.total);
+  plan_ = plan_step(stage_elements, root_.total, options_, shard_comm_->size(),
                     replica_comm_->size());
+  for (const StepPoint& point : plan_) {
+    for (const StepOp& op : point.ops) {
+      if (op.type != StepOp::Type::kBucketAllReducePost) continue;
+      buckets_.push_back(
+          {&op.bucket, Tensor::zeros({bucket_elements(op.bucket)}), {}});
+    }
+  }
   auto run = [this](StepHook hook) {
     return [this, hook](int stage) { run_point(hook, stage); };
   };
@@ -201,6 +210,21 @@ void Fsdp::run_op(const StepOp& op) {
       schedule_.push_back({FsdpEvent::Type::kAllReduce, op.unit, unit.chunk});
       break;
     }
+    case StepOp::Type::kBucketAllReducePost: {
+      Bucket& bucket = buckets_[static_cast<size_t>(op.unit)];
+      obs::TraceScope span("fsdp.reduce.issue", "fsdp", "bucket", op.unit);
+      i64 offset = 0;
+      for (const BucketSegment& seg : op.bucket) {
+        bucket.buffer.flat_view(offset, seg.len)
+            .copy_(unit_at(seg.unit).full_grad.flat_view(seg.offset, seg.len));
+        offset += seg.len;
+      }
+      bucket.handle =
+          replica_comm_->iall_reduce(bucket.buffer, comm::ReduceOp::kSum);
+      schedule_.push_back(
+          {FsdpEvent::Type::kAllReduce, op.unit, bucket.buffer.numel()});
+      break;
+    }
     case StepOp::Type::kDrain:
       drain_reductions();
       break;
@@ -209,8 +233,20 @@ void Fsdp::run_op(const StepOp& op) {
 
 void Fsdp::drain_reductions() {
   obs::TraceScope span("fsdp.drain_reductions", "fsdp");
-  // Every unit reduces once per step: wait them in posting order (stages
-  // last to first, then the root) and average over the data-parallel world.
+  // DDP: wait the buckets in posting order, each unpacked into the units'
+  // gradients as it lands.
+  for (Bucket& bucket : buckets_) {
+    bucket.handle.wait(&stats_);
+    i64 offset = 0;
+    for (const BucketSegment& seg : *bucket.segments) {
+      unit_at(seg.unit).full_grad.flat_view(seg.offset, seg.len)
+          .copy_(bucket.buffer.flat_view(offset, seg.len));
+      offset += seg.len;
+    }
+  }
+  // The other strategies reduce every unit once per step: wait them in
+  // posting order (stages last to first, then the root). All strategies
+  // average over the data-parallel world.
   for (int u = n_units() - 1; u >= -1; --u) {
     Unit& unit = unit_at(u);
     unit.reduce_scatter.wait(&stats_);

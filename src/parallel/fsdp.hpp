@@ -19,6 +19,11 @@
 //                    groups. HYBRID_1GPU (group 1) degenerates to NO_SHARD
 //                    semantics through the HYBRID code path, matching the
 //                    paper's separate measurement of the two.
+//   DDP            — NO_SHARD's replicated storage, but gradients are
+//                    all-reduced in fixed-size buckets (PyTorch DDP's
+//                    default 25 MB, FsdpOptions::ddp_bucket_cap_bytes)
+//                    filled in backward order: a constant message size
+//                    however large the model is (paper Sec. IV-C).
 //
 // What runs when is decided once, by the step plan (parallel/step_plan.hpp)
 // that the simulator also times: each hook runs the ops of its plan point,
@@ -26,9 +31,12 @@
 // nonblocking and waited only where the plan needs them, so communication
 // overlaps compute: forward gathers run kAllGatherInflightCap units ahead
 // (all at step start with the limiter off), and HYBRID chains each replica
-// all-reduce onto its reduce-scatter one stage later. unshard() also enforces `limit_all_gathers` itself
-// (waits the oldest gather past kAllGatherInflightCap in flight); the plan
-// never reaches that bound, gather_full_parameters() relies on it.
+// all-reduce onto its reduce-scatter one stage later. A DDP bucket posts
+// at the after_backward hook of the stage that fills it, and end_backward
+// waits and unpacks the buckets in posting order. unshard() also enforces
+// `limit_all_gathers` itself (waits the oldest gather past
+// kAllGatherInflightCap in flight); the plan never reaches that bound,
+// gather_full_parameters() relies on it.
 #pragma once
 
 #include <deque>
@@ -78,7 +86,7 @@ struct FsdpEvent {
     kReshard,        // free a unit's unsharded parameters
   };
   Type type;
-  int unit;  // stage index; -1 = root unit
+  int unit;  // stage index; -1 = root unit; a DDP bucket's index
   i64 elements;
 
   bool operator==(const FsdpEvent&) const = default;
@@ -166,6 +174,13 @@ class Fsdp {
     comm::CollectiveHandle all_reduce;     // outstanding replica all-reduce
   };
 
+  /// A DDP gradient bucket: the plan's segments, packed into `buffer`.
+  struct Bucket {
+    const std::vector<BucketSegment>* segments = nullptr;  // in plan_
+    Tensor buffer;
+    comm::CollectiveHandle handle;
+  };
+
   void build_unit(Unit& unit, std::vector<nn::Parameter*> params,
                   const std::string& name);
   Unit& unit_at(int unit_index) {
@@ -181,7 +196,8 @@ class Fsdp {
   /// point of the step plan.
   void run_point(StepHook hook, int stage);
   void run_op(const StepOp& op);
-  /// Waits every unit's reductions and averages the gradients.
+  /// Waits every bucket (unpacking it) and every unit's reductions, and
+  /// averages the gradients.
   void drain_reductions();
 
   nn::StagedModel& model_;
@@ -196,6 +212,7 @@ class Fsdp {
   nn::StageHooks hooks_;
   StepPlan plan_;
   size_t cursor_ = 0;  // next plan point
+  std::vector<Bucket> buckets_;  // DDP only, in posting order
 
   std::vector<FsdpEvent> schedule_;
   int unsharded_count_ = 0;

@@ -10,6 +10,7 @@ std::string to_string(ShardingStrategy s) {
     case ShardingStrategy::kFullShard: return "FULL_SHARD";
     case ShardingStrategy::kShardGradOp: return "SHARD_GRAD_OP";
     case ShardingStrategy::kHybridShard: return "HYBRID_SHARD";
+    case ShardingStrategy::kDdp: return "DDP";
   }
   return "?";
 }
@@ -30,9 +31,16 @@ std::string to_string(StepHook h) {
   return kNames[static_cast<int>(h)];
 }
 
+i64 bucket_elements(const std::vector<BucketSegment>& bucket) {
+  i64 n = 0;
+  for (const BucketSegment& seg : bucket) n += seg.len;
+  return n;
+}
+
 int shard_group_size_for(const FsdpOptions& options, int world) {
   switch (options.strategy) {
     case ShardingStrategy::kNoShard:
+    case ShardingStrategy::kDdp:
       return 1;
     case ShardingStrategy::kFullShard:
     case ShardingStrategy::kShardGradOp:
@@ -47,11 +55,14 @@ int shard_group_size_for(const FsdpOptions& options, int world) {
   return 1;
 }
 
-StepPlan plan_step(int n_units, const FsdpOptions& options,
-                   int shard_group_size, int replica_group_size) {
+StepPlan plan_step(const std::vector<i64>& stage_elements, i64 root_elements,
+                   const FsdpOptions& options, int shard_group_size,
+                   int replica_group_size) {
+  const int n_units = static_cast<int>(stage_elements.size());
   GEOFM_CHECK(n_units >= 1, "a step plan needs at least one stage unit");
   using Op = StepOp::Type;
   using Compute = StepPoint::Compute;
+  const bool ddp = options.strategy == ShardingStrategy::kDdp;
   const bool sharded = shard_group_size > 1;
   const bool replicated = replica_group_size > 1;
   const bool chain_replicas = sharded && replicated;  // HYBRID
@@ -68,9 +79,41 @@ StepPlan plan_step(int n_units, const FsdpOptions& options,
     plan.push_back({hook, stage, {}, compute, compute_unit});
     return plan.back().ops;
   };
+
+  // DDP's bucket plan: gradient elements in backward order (stages n-1..0,
+  // then the root) fill buckets of exactly `cap` elements, so a bucket may
+  // split a unit and only the last bucket may be short. Each bucket posts
+  // at the point whose unit fills it; the short one at end_backward.
+  const i64 cap = options.ddp_bucket_cap_bytes / 4;
+  GEOFM_CHECK(!ddp || cap >= 1, "DDP bucket cap "
+                                    << options.ddp_bucket_cap_bytes
+                                    << " B holds no gradient element");
+  StepOp bucket{Op::kBucketAllReducePost, 0, {}};
+  i64 fill = 0;
+  auto post_bucket = [&](std::vector<StepOp>& ops) {
+    if (bucket.bucket.empty()) return;
+    const int next = bucket.unit + 1;
+    ops.push_back(std::move(bucket));
+    bucket = {Op::kBucketAllReducePost, next, {}};
+    fill = 0;
+  };
+  auto fill_buckets = [&](std::vector<StepOp>& ops, int unit) {
+    const i64 n = unit < 0 ? root_elements
+                           : stage_elements[static_cast<size_t>(unit)];
+    for (i64 offset = 0; offset < n;) {
+      const i64 len = std::min(cap - fill, n - offset);
+      bucket.bucket.push_back({unit, offset, len});
+      fill += len;
+      offset += len;
+      if (fill == cap) post_bucket(ops);
+    }
+  };
+
   auto post_reduction = [&](std::vector<StepOp>& ops, int unit) {
     if (sharded) {
       ops.push_back({Op::kReduceScatterPost, unit});
+    } else if (replicated && ddp) {
+      fill_buckets(ops, unit);
     } else if (replicated) {
       ops.push_back({Op::kAllReducePost, unit});
     }
@@ -127,6 +170,7 @@ StepPlan plan_step(int n_units, const FsdpOptions& options,
   auto& end = point(StepHook::kEndBackward, -1);
   if (chain_replicas) end.push_back({Op::kReplicaAllReducePost, 0});
   post_reduction(end, -1);
+  post_bucket(end);
   if (chain_replicas) end.push_back({Op::kReplicaAllReducePost, -1});
   end.push_back({Op::kDrain, -1});
   if (sharded) end.push_back({Op::kReshard, -1});

@@ -1,7 +1,8 @@
-// The FSDP step plan (DESIGN §4.1): which collective runs at which hook
-// point of a training step. `parallel::Fsdp` executes it from its stage
-// hooks and `sim::TrainingSimulator` times it, so neither derives forward
-// lookahead, backward prefetch, the limiter or HYBRID chaining itself.
+// The step plan (DESIGN §4.1): which collective runs at which hook point
+// of a training step, for every FSDP strategy and for DDP. `parallel::Fsdp`
+// executes it from its stage hooks and `sim::TrainingSimulator` times it,
+// so neither derives forward lookahead, backward prefetch, the limiter,
+// HYBRID chaining or DDP's gradient buckets itself.
 #pragma once
 
 #include <string>
@@ -16,6 +17,7 @@ enum class ShardingStrategy {
   kFullShard,
   kShardGradOp,
   kHybridShard,
+  kDdp,  // replicated like NO_SHARD, gradients all-reduced in fixed buckets
 };
 
 enum class BackwardPrefetch { kNone, kBackwardPost, kBackwardPre };
@@ -34,6 +36,9 @@ struct FsdpOptions {
   /// runtime waits the oldest gather before issuing past the cap; off,
   /// every forward gather is issued at step start.
   bool limit_all_gathers = true;
+  /// DDP gradient bucket size (PyTorch's default 25 MB). Ignored by the
+  /// FSDP strategies.
+  i64 ddp_bucket_cap_bytes = 25ll * 1024 * 1024;
 };
 
 /// In-flight stage all-gathers the rate limiter allows when enabled.
@@ -54,7 +59,20 @@ enum class StepHook {
 
 std::string to_string(StepHook h);
 
-/// One plan op on `unit` (a stage index, or -1 for the root unit).
+/// A run of one unit's flat gradient inside a DDP bucket.
+struct BucketSegment {
+  int unit = -1;   // stage index, or -1 for the root unit
+  i64 offset = 0;  // first element within the unit's flat gradient
+  i64 len = 0;
+
+  bool operator==(const BucketSegment&) const = default;
+};
+
+/// Gradient elements a DDP bucket holds.
+i64 bucket_elements(const std::vector<BucketSegment>& bucket);
+
+/// One plan op on `unit` (a stage index, or -1 for the root unit; for a
+/// bucket post, the bucket's index in posting order).
 struct StepOp {
   enum class Type {
     kGatherPost,            // issue the unit's parameter all-gather
@@ -64,10 +82,13 @@ struct StepOp {
     kReplicaAllReducePost,  // wait the unit's reduce-scatter, then issue
                             // its replica all-reduce on the result
     kAllReducePost,         // issue an unsharded unit's gradient all-reduce
-    kDrain,                 // wait every reduction, average the gradients
+    kBucketAllReducePost,   // pack a DDP bucket, issue its all-reduce
+    kDrain,                 // wait every reduction (buckets in posting
+                            // order, unpacked), average the gradients
   };
   Type type;
   int unit = -1;  // ignored by kDrain
+  std::vector<BucketSegment> bucket = {};  // kBucketAllReducePost only
 
   bool operator==(const StepOp&) const = default;
 };
@@ -86,10 +107,12 @@ struct StepPoint {
 /// A whole step: every hook point in the order the step reaches them.
 using StepPlan = std::vector<StepPoint>;
 
-/// The step plan for `n_units` stage units plus the root unit under
-/// `options`, given the group sizes the strategy resolves to. Pure: no
-/// communicator, no model.
-StepPlan plan_step(int n_units, const FsdpOptions& options,
-                   int shard_group_size, int replica_group_size);
+/// The step plan for stage units of `stage_elements[i]` gradient elements
+/// each plus a root unit of `root_elements` under `options`, given the
+/// group sizes the strategy resolves to. Only DDP's buckets read the sizes.
+/// Pure: no communicator, no model.
+StepPlan plan_step(const std::vector<i64>& stage_elements, i64 root_elements,
+                   const FsdpOptions& options, int shard_group_size,
+                   int replica_group_size);
 
 }  // namespace geofm::parallel

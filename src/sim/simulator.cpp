@@ -7,10 +7,6 @@ namespace geofm::sim {
 
 using parallel::ShardingStrategy;
 
-std::string to_string(ParallelPlan::Kind k) {
-  return k == ParallelPlan::Kind::kDdp ? "DDP" : "FSDP";
-}
-
 TrainingSimulator::TrainingSimulator(StepWorkload workload,
                                      MachineSpec machine, int nodes,
                                      ParallelPlan plan)
@@ -21,9 +17,7 @@ TrainingSimulator::TrainingSimulator(StepWorkload workload,
   GEOFM_CHECK(nodes_ >= 1);
   const int world = world_size();
 
-  shard_group_size_ = plan_.kind == ParallelPlan::Kind::kDdp
-                          ? 1
-                          : parallel::shard_group_size_for(plan_.fsdp, world);
+  shard_group_size_ = parallel::shard_group_size_for(plan_.fsdp, world);
   shard_shape_ = shard_group_shape(shard_group_size_, machine_.gpus_per_node);
   replica_shape_ = replica_group_shape(world / shard_group_size_,
                                        shard_group_size_,
@@ -36,8 +30,7 @@ double TrainingSimulator::gather_seconds(i64 elements) const {
       4.0 * static_cast<double>(elements) / shard_group_size_;
   double t = machine_.shard_op_overhead +
              all_gather_seconds(shard_bytes, shard_shape_, machine_);
-  if (plan_.kind == ParallelPlan::Kind::kFsdp &&
-      !plan_.fsdp.limit_all_gathers) {
+  if (!plan_.fsdp.limit_all_gathers) {
     // Unbounded in-flight gathers contend for the NIC/HBM.
     t *= machine_.unlimited_gather_penalty;
   }
@@ -56,17 +49,29 @@ double TrainingSimulator::replica_all_reduce_seconds(i64 elements) const {
   const double bytes =
       4.0 * static_cast<double>(elements) / shard_group_size_;
   double t = all_reduce_seconds(bytes, replica_shape_, machine_);
-  if (plan_.kind == ParallelPlan::Kind::kFsdp &&
-      plan_.fsdp.strategy == ShardingStrategy::kNoShard) {
+  if (plan_.fsdp.strategy == ShardingStrategy::kNoShard) {
     t *= machine_.no_shard_allreduce_penalty;
   }
   return t;
 }
 
+double TrainingSimulator::bucket_all_reduce_seconds(i64 elements) const {
+  if (plan_.disable_comm || replica_shape_.size <= 1) return 0.0;
+  const double bytes = 4.0 * static_cast<double>(elements);
+  // Plus the pack and unpack traffic through HBM.
+  return all_reduce_seconds(bytes, replica_shape_, machine_) +
+         2.0 * bytes / machine_.gpu.hbm_bandwidth;
+}
+
 void TrainingSimulator::build_plan_tasks(std::vector<Task>& tasks) const {
   const int n_stages = static_cast<int>(workload_.stages.size());
-  const parallel::StepPlan step = parallel::plan_step(
-      n_stages, plan_.fsdp, shard_group_size_, replica_shape_.size);
+  std::vector<i64> stage_elements;
+  for (const StageWork& stage : workload_.stages) {
+    stage_elements.push_back(stage.param_elements);
+  }
+  const parallel::StepPlan step =
+      parallel::plan_step(stage_elements, workload_.root.param_elements,
+                          plan_.fsdp, shard_group_size_, replica_shape_.size);
   const double flops = machine_.gpu.sustained_flops;
 
   auto add = [&](bool is_comm, double dur, std::vector<int> deps) -> int {
@@ -86,10 +91,14 @@ void TrainingSimulator::build_plan_tasks(std::vector<Task>& tasks) const {
   // Latest gather / reduction task per unit (slot unit + 1; 0 = root).
   std::vector<int> gather(static_cast<size_t>(n_stages) + 1, -1);
   std::vector<int> reduction(static_cast<size_t>(n_stages) + 1, -1);
+  std::vector<int> buckets;
   for (const parallel::StepPoint& point : step) {
     for (const parallel::StepOp& op : point.ops) {
       const size_t slot = static_cast<size_t>(op.unit + 1);
-      const i64 elements = unit_work(op.unit).param_elements;
+      // A bucket post's `unit` is its bucket index.
+      const i64 elements = op.type == Op::kBucketAllReducePost
+                               ? parallel::bucket_elements(op.bucket)
+                               : unit_work(op.unit).param_elements;
       switch (op.type) {
         case Op::kGatherPost:
           gather[slot] = add(true, gather_seconds(elements), {last_compute});
@@ -110,8 +119,13 @@ void TrainingSimulator::build_plan_tasks(std::vector<Task>& tasks) const {
           reduction[slot] = add(true, replica_all_reduce_seconds(elements),
                                 {last_compute, reduction[slot]});
           break;
+        case Op::kBucketAllReducePost:
+          buckets.push_back(
+              add(true, bucket_all_reduce_seconds(elements), {last_compute}));
+          break;
         case Op::kDrain:
           waited.insert(waited.end(), reduction.begin(), reduction.end());
+          waited.insert(waited.end(), buckets.begin(), buckets.end());
           break;
       }
     }
@@ -135,86 +149,9 @@ void TrainingSimulator::build_plan_tasks(std::vector<Task>& tasks) const {
       std::move(waited));
 }
 
-void TrainingSimulator::build_ddp_tasks(std::vector<Task>& tasks) const {
-  const int n_stages = static_cast<int>(workload_.stages.size());
-  const double flops = machine_.gpu.sustained_flops;
-
-  auto add = [&](bool is_comm, double dur, std::vector<int> deps) -> int {
-    tasks.push_back({is_comm, dur, std::move(deps)});
-    return static_cast<int>(tasks.size()) - 1;
-  };
-
-  // Forward.
-  const int root_fwd = add(false, workload_.root.fwd_flops / flops, {});
-  std::vector<int> fwd(static_cast<size_t>(n_stages), -1);
-  for (int i = 0; i < n_stages; ++i) {
-    fwd[static_cast<size_t>(i)] = add(
-        false, workload_.stages[static_cast<size_t>(i)].fwd_flops / flops,
-        {i == 0 ? root_fwd : fwd[static_cast<size_t>(i - 1)]});
-  }
-
-  // Backward with bucketed all-reduce: buckets fill in gradient-ready
-  // (reverse stage) order with a fixed byte cap — DDP's constant message
-  // size irrespective of model size.
-  const double cap_bytes = static_cast<double>(plan_.ddp_bucket_bytes);
-  int last_compute = fwd[static_cast<size_t>(n_stages - 1)];
-  double bucket_fill = 0;
-  int bucket_last_stage_task = -1;
-
-  auto flush_bucket = [&] {
-    if (bucket_fill <= 0) return;
-    double t = 0;
-    if (!plan_.disable_comm && replica_shape_.size > 1) {
-      t = all_reduce_seconds(bucket_fill, replica_shape_, machine_);
-      // Pack/unpack traffic through HBM.
-      t += 2.0 * bucket_fill / machine_.gpu.hbm_bandwidth;
-    }
-    add(true, t, {bucket_last_stage_task});
-    bucket_fill = 0;
-  };
-
-  for (int i = n_stages - 1; i >= 0; --i) {
-    const int b = add(
-        false, workload_.stages[static_cast<size_t>(i)].bwd_flops / flops,
-        {last_compute});
-    last_compute = b;
-    double remaining =
-        4.0 * static_cast<double>(
-                  workload_.stages[static_cast<size_t>(i)].param_elements);
-    bucket_last_stage_task = b;
-    while (remaining > 0) {
-      const double take = std::min(cap_bytes - bucket_fill, remaining);
-      bucket_fill += take;
-      remaining -= take;
-      if (bucket_fill >= cap_bytes) flush_bucket();
-    }
-  }
-  const int root_bwd =
-      add(false, workload_.root.bwd_flops / flops, {last_compute});
-  bucket_last_stage_task = root_bwd;
-  bucket_fill += 4.0 * static_cast<double>(workload_.root.param_elements);
-  while (bucket_fill > cap_bytes) {
-    const double save = bucket_fill - cap_bytes;
-    bucket_fill = cap_bytes;
-    flush_bucket();
-    bucket_fill = save;
-  }
-  flush_bucket();
-
-  // Optimizer over the full (replicated) parameters.
-  const double param_bytes =
-      4.0 * static_cast<double>(workload_.total_param_elements);
-  add(false, 6.0 * param_bytes / machine_.gpu.hbm_bandwidth,
-      {static_cast<int>(tasks.size()) - 1, root_bwd});
-}
-
 StepTiming TrainingSimulator::simulate_step() const {
   std::vector<Task> tasks;
-  if (plan_.kind == ParallelPlan::Kind::kDdp) {
-    build_ddp_tasks(tasks);
-  } else {
-    build_plan_tasks(tasks);
-  }
+  build_plan_tasks(tasks);
 
   // Two FIFO streams: tasks of each kind execute in construction order.
   double compute_free = 0, comm_free = 0;
@@ -247,7 +184,7 @@ StepTiming TrainingSimulator::simulate_step() const {
   const double hidden = std::max(0.0, comm_busy - exposed_raw);
   makespan += machine_.comm_compute_contention * hidden;
   makespan += machine_.step_overhead;
-  if (plan_.kind == ParallelPlan::Kind::kDdp) {
+  if (plan_.fsdp.strategy == ShardingStrategy::kDdp) {
     makespan += machine_.ddp_step_overhead;
   }
 
@@ -268,9 +205,6 @@ MemoryFootprint TrainingSimulator::memory_footprint() const {
   MemoryFootprint m;
   const double P = 4.0 * static_cast<double>(workload_.total_param_elements);
   const double gs = static_cast<double>(shard_group_size_);
-  const bool fsdp = plan_.kind == ParallelPlan::Kind::kFsdp;
-  const auto strategy =
-      fsdp ? plan_.fsdp.strategy : ShardingStrategy::kNoShard;
 
   double max_unit = static_cast<double>(workload_.root.param_elements);
   for (const auto& s : workload_.stages) {
@@ -280,8 +214,9 @@ MemoryFootprint TrainingSimulator::memory_footprint() const {
 
   // Allocator/fragmentation overhead on persistent state.
   constexpr double kOverhead = 1.1;
-  switch (strategy) {
+  switch (plan_.fsdp.strategy) {
     case ShardingStrategy::kNoShard:
+    case ShardingStrategy::kDdp:
       m.params = P;
       m.grads = P;
       m.optimizer = 2.0 * P;

@@ -1,11 +1,11 @@
 // Discrete-event simulation of one training step under a parallelization
 // strategy, on the Frontier machine model.
 //
-// For FSDP it times the step plan the functional runtime executes
-// (`parallel::plan_step`) on two FIFO resources per rank — a compute stream
-// and a communication stream — in host order: a post starts no earlier
-// than the compute preceding its hook point, a wait gates the next
-// compute. "Limiter off" is the plan's unbounded forward lookahead plus
+// It times the step plan the functional runtime executes
+// (`parallel::plan_step`, FSDP strategies and DDP alike) on two FIFO
+// resources per rank — a compute stream and a communication stream — in
+// host order: a post starts no earlier than the compute preceding its hook
+// point, a wait gates the next compute. "Limiter off" is the plan's unbounded forward lookahead plus
 // the cost model's unlimited_gather_penalty (the memory model keeps its own
 // in-flight bound). Overlap, exposed communication and the crossovers of
 // Figs 1-4 emerge from message sizes, call counts and link bandwidths.
@@ -23,10 +23,7 @@ namespace geofm::sim {
 
 /// Parallelization configuration for a simulated run.
 struct ParallelPlan {
-  enum class Kind { kDdp, kFsdp };
-  Kind kind = Kind::kFsdp;
-  parallel::FsdpOptions fsdp;      // used when kind == kFsdp
-  i64 ddp_bucket_bytes = 25ll * 1024 * 1024;  // used when kind == kDdp
+  parallel::FsdpOptions fsdp;      // strategy (DDP included) and its knobs
   bool disable_comm = false;       // "syn no comm" mode of Fig 1
 };
 
@@ -79,13 +76,13 @@ class TrainingSimulator {
     std::vector<int> deps;  // task ids that must complete first
   };
 
-  /// Tasks of the FSDP step plan, then the optimizer step.
+  /// Tasks of the step plan, then the optimizer step.
   void build_plan_tasks(std::vector<Task>& tasks) const;
-  void build_ddp_tasks(std::vector<Task>& tasks) const;
 
   double gather_seconds(i64 elements) const;
   double reduce_scatter_grads_seconds(i64 elements) const;
   double replica_all_reduce_seconds(i64 elements) const;
+  double bucket_all_reduce_seconds(i64 elements) const;
 
   StepWorkload workload_;
   MachineSpec machine_;
@@ -117,8 +114,6 @@ struct WeakScalingPoint {
 std::vector<WeakScalingPoint> weak_scaling(
     const StepWorkload& workload, const MachineSpec& machine,
     const std::vector<int>& node_counts, const ParallelPlan& plan);
-
-std::string to_string(ParallelPlan::Kind k);
 
 // ----- time-to-train estimation ------------------------------------------------
 

@@ -43,7 +43,6 @@ constexpr size_t kNumConfigs = sizeof(kConfigs) / sizeof(kConfigs[0]);
 
 double modeled_exposed_seconds(const OverlapConfig& cfg) {
   sim::ParallelPlan plan;
-  plan.kind = sim::ParallelPlan::Kind::kFsdp;
   plan.fsdp.strategy = ShardingStrategy::kFullShard;
   plan.fsdp.prefetch = cfg.prefetch;
   plan.fsdp.limit_all_gathers = cfg.limit_all_gathers;

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "data/datasets.hpp"
 #include "models/mae.hpp"
 #include "optim/optimizer.hpp"
-#include "parallel/ddp.hpp"
 #include "parallel/fsdp.hpp"
 #include "train/distributed.hpp"
 
@@ -83,6 +83,22 @@ std::vector<float> flatten_slots(optim::Optimizer& opt) {
   std::vector<float> out;
   for (const auto& slot : opt.state_view().slots) {
     for (i64 i = 0; i < slot.tensor.numel(); ++i) out.push_back(slot.tensor[i]);
+  }
+  return out;
+}
+
+// Every logical tensor (parameters and optimizer slots) of a state
+// description, by name. Assumes the description covers each in full, as a
+// replicated rank's does.
+std::map<std::string, std::vector<float>> logical_tensors(
+    const ckpt::StateDesc& desc) {
+  std::map<std::string, std::vector<float>> out;
+  for (const ckpt::TensorSlice& slice : desc.slices) {
+    std::vector<float>& v = out[slice.name];
+    v.resize(static_cast<size_t>(slice.begin + slice.data.numel()));
+    for (i64 i = 0; i < slice.data.numel(); ++i) {
+      v[static_cast<size_t>(slice.begin + i)] = slice.data[i];
+    }
   }
   return out;
 }
@@ -400,24 +416,28 @@ TEST(CheckpointParity, DdpSaveRestoresIntoFsdpAndPlainModule) {
   const std::string root = fresh_root("geofm_test_ckpt_ddp");
   const auto cfg = ckpt_mae_cfg();
   std::vector<float> ddp_params;
-  std::vector<float> ddp_moments;
+  std::map<std::string, std::vector<float>> ddp_tensors;
   std::mutex mu;
 
-  // DDP at 2 ranks: memory is replicated but each rank writes only its
-  // half-split of every tensor, so the directory checkpoint is sharded.
+  // DDP at 2 ranks with buckets that split units: memory is replicated,
+  // and the checkpoint goes through the same shard layout NO_SHARD's does.
+  FsdpOptions ddp;
+  ddp.strategy = ShardingStrategy::kDdp;
+  ddp.ddp_bucket_cap_bytes = 4096;
   run_ranks(2, [&](Communicator& c) {
     Rng rng(42);
     models::MAE mae(cfg, rng);
-    parallel::Ddp ddp(mae, c);
-    optim::AdamW opt(mae.parameters(), 1e-3, 0.9, 0.95, 1e-8, 0.01);
+    Fsdp fsdp(mae, c, ddp);
+    optim::AdamW opt(fsdp.optimizer_parameters(), 1e-3, 0.9, 0.95, 1e-8,
+                     0.01);
     Tensor global = make_batch(8, 777);
     Tensor mine = batch_slice(global, c.rank() * 4, 4);
     for (int s = 0; s < 3; ++s) {
       Rng mask_rng(static_cast<u64>(9000 + s));
-      opt.zero_grad();
+      fsdp.begin_step();
       mae.forward(mine, mask_rng, c.rank() * 4);
       mae.backward();
-      ddp.synchronize_gradients();
+      fsdp.end_backward();
       opt.step();
     }
     ckpt::Checkpointer saver(/*async=*/true);
@@ -426,7 +446,7 @@ TEST(CheckpointParity, DdpSaveRestoresIntoFsdpAndPlainModule) {
     req.step = 2;
     req.rank = c.rank();
     req.world = 2;
-    req.state = ckpt::replicated_state(mae.module(), &opt, c.rank(), 2, true);
+    req.state = ckpt::fsdp_state(fsdp, &opt);
     req.counters = {{"step", 2}};
     for (const auto& [name, value] : ckpt::optimizer_scalars(opt)) {
       req.counters[name] = value;
@@ -436,7 +456,7 @@ TEST(CheckpointParity, DdpSaveRestoresIntoFsdpAndPlainModule) {
     if (c.rank() == 0) {
       std::lock_guard<std::mutex> lk(mu);
       ddp_params = flatten_params(mae.module());
-      ddp_moments = flatten_slots(opt);
+      ddp_tensors = logical_tensors(ckpt::fsdp_state(fsdp, &opt));
     }
     c.barrier();
   });
@@ -457,7 +477,14 @@ TEST(CheckpointParity, DdpSaveRestoresIntoFsdpAndPlainModule) {
   reader.restore(ckpt::replicated_state(solo, &solo_opt, 0, 1, false));
   ckpt::restore_optimizer_scalars(reader, solo_opt);
   expect_exact(flatten_params(solo), ddp_params);
-  expect_exact(flatten_slots(solo_opt), ddp_moments);
+  const auto solo_tensors =
+      logical_tensors(ckpt::replicated_state(solo, &solo_opt, 0, 1, false));
+  ASSERT_EQ(solo_tensors.size(), ddp_tensors.size());
+  for (const auto& [name, values] : ddp_tensors) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(solo_tensors.count(name), 1u);
+    expect_exact(solo_tensors.at(name), values);
+  }
   fs::remove_all(root);
 }
 

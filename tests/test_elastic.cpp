@@ -248,6 +248,7 @@ TEST_P(ElasticFaultMatrix, RunsToCompletion) {
   cfg.train.steps = 6;
   cfg.train.checkpoint_every_n_steps = 2;
   cfg.fsdp.strategy = p.strategy;
+  cfg.fsdp.ddp_bucket_cap_bytes = 4096;  // DDP: buckets that split units
   cfg.watchdog_deadline_seconds = 0.75;
 
   switch (p.kind) {
@@ -292,11 +293,15 @@ TEST_P(ElasticFaultMatrix, RunsToCompletion) {
   fs::remove_all(root);
 }
 
+// The `*_ddp` rows run NO_SHARD, the FSDP strategy with DDP's replicated
+// per-unit all-reduce; `kill_ddp_buckets` runs the DDP strategy itself.
 INSTANTIATE_TEST_SUITE_P(
     KindsByStrategy, ElasticFaultMatrix,
     ::testing::Values(
         MatrixCase{"kill_ddp", comm::FaultEvent::Kind::kKill,
                    ShardingStrategy::kNoShard},
+        MatrixCase{"kill_ddp_buckets", comm::FaultEvent::Kind::kKill,
+                   ShardingStrategy::kDdp},
         MatrixCase{"kill_fsdp", comm::FaultEvent::Kind::kKill,
                    ShardingStrategy::kFullShard},
         MatrixCase{"stall_ddp", comm::FaultEvent::Kind::kStall,
@@ -382,12 +387,12 @@ class ElasticGrowBack : public ::testing::TestWithParam<ShardingStrategy> {};
 // bitwise the trajectory of a fresh 4-rank run resumed from the boundary
 // checkpoint, and the armed watchdog must never flag the parked ranks.
 TEST_P(ElasticGrowBack, ShrinkThenGrowBackBitwise) {
-  const bool fsdp = GetParam() == ShardingStrategy::kFullShard;
-  const std::string root = fresh_root(
-      std::string("geofm_test_growback_") + (fsdp ? "fsdp" : "ddp"));
+  const std::string root = fresh_root(std::string("geofm_test_growback_") +
+                                      parallel::to_string(GetParam()));
   auto corpus = data::million_aid_pretrain(64, 16);
   auto cfg = base_config(root);
   cfg.fsdp.strategy = GetParam();
+  cfg.fsdp.ddp_bucket_cap_bytes = 4096;  // DDP: buckets that split units
   cfg.train.steps = 9;
   cfg.train.global_batch = 8;  // divides 4 and 2 but not 3: the kill of
                                // identity 1 trims identity 3 too (4 -> 2)
@@ -456,13 +461,18 @@ TEST_P(ElasticGrowBack, ShrinkThenGrowBackBitwise) {
   fs::remove_all(root);
 }
 
+// The `ddp` row runs NO_SHARD, the FSDP strategy with DDP's replicated
+// per-unit all-reduce; `ddp_buckets` runs the DDP strategy itself.
 INSTANTIATE_TEST_SUITE_P(
     Strategies, ElasticGrowBack,
     ::testing::Values(ShardingStrategy::kNoShard,
-                      ShardingStrategy::kFullShard),
+                      ShardingStrategy::kFullShard, ShardingStrategy::kDdp),
     [](const ::testing::TestParamInfo<ShardingStrategy>& info) {
-      return info.param == ShardingStrategy::kFullShard ? "full_shard"
-                                                        : "ddp";
+      switch (info.param) {
+        case ShardingStrategy::kFullShard: return "full_shard";
+        case ShardingStrategy::kDdp: return "ddp_buckets";
+        default: return "ddp";
+      }
     });
 
 // A spare identity that was never in the initial world joins at the

@@ -1,7 +1,8 @@
 // FSDP/DDP runtime tests. The load-bearing property: training a model
-// under ANY sharding strategy on k ranks (each with a slice of the global
-// batch) must match single-rank training on the full batch, step for step.
-// Also verifies the communication schedules per strategy/prefetch mode.
+// under ANY sharding strategy (DDP included) on k ranks (each with a slice
+// of the global batch) must match single-rank training on the full batch,
+// step for step. Also verifies the communication schedules per
+// strategy/prefetch mode and DDP's bucket plan.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,7 +12,6 @@
 #include "models/mae.hpp"
 #include "obs/metrics.hpp"
 #include "optim/optimizer.hpp"
-#include "parallel/ddp.hpp"
 #include "parallel/fsdp.hpp"
 
 namespace geofm {
@@ -456,6 +456,7 @@ std::vector<std::pair<FsdpEvent::Type, int>> plan_events(
           break;
         case Op::kReplicaAllReducePost:
         case Op::kAllReducePost:
+        case Op::kBucketAllReducePost:
           out.push_back({FsdpEvent::Type::kAllReduce, op.unit});
           break;
         case Op::kGatherWait:
@@ -467,10 +468,74 @@ std::vector<std::pair<FsdpEvent::Type, int>> plan_events(
   return out;
 }
 
+FsdpOptions ddp_options(i64 bucket_cap_bytes = 25ll * 1024 * 1024) {
+  FsdpOptions opts;
+  opts.strategy = ShardingStrategy::kDdp;
+  opts.ddp_bucket_cap_bytes = bucket_cap_bytes;
+  return opts;
+}
+
+// Gradient elements per stage unit and in the root unit of `model`.
+std::vector<i64> stage_elements(nn::StagedModel& model) {
+  std::vector<i64> out;
+  for (nn::Module* stage : model.stages()) {
+    out.push_back(0);
+    for (nn::Parameter* p : stage->parameters()) out.back() += p->numel();
+  }
+  return out;
+}
+
+i64 root_elements(nn::StagedModel& model) {
+  i64 n = 0;
+  for (nn::Parameter* p : model.root_params()) n += p->numel();
+  return n;
+}
+
+// The plan `fsdp` runs on `model`.
+parallel::StepPlan plan_of(nn::StagedModel& model, const Fsdp& fsdp) {
+  return parallel::plan_step(stage_elements(model), root_elements(model),
+                             fsdp.options(), fsdp.shard_group_size(),
+                             fsdp.replica_group_size());
+}
+
+// True if the runtime's recorded schedule for a steady-state step under
+// `opts` on 4 ranks is exactly the plan's comm ops, in order, on every
+// rank; otherwise names the first rank that differs in `mismatch`.
+bool runtime_schedule_equals_plan(const FsdpOptions& opts,
+                                  std::string* mismatch) {
+  std::mutex mu;
+  std::vector<std::string> mismatches;
+  run_ranks(4, [&](Communicator& c) {
+    Rng rng(1);
+    models::MAE mae(test_mae_cfg(), rng);
+    Fsdp fsdp(mae, c, opts);
+    Tensor batch = make_global_batch(2, 5);
+    for (int step = 0; step < 2; ++step) {
+      Rng mask_rng(static_cast<u64>(7 + step));
+      fsdp.begin_step();
+      mae.forward(batch, mask_rng, 0);
+      mae.backward();
+      fsdp.end_backward();
+    }
+    std::vector<std::pair<FsdpEvent::Type, int>> recorded;
+    for (const FsdpEvent& e : fsdp.last_schedule()) {
+      recorded.push_back({e.type, e.unit});
+    }
+    if (recorded != plan_events(plan_of(mae, fsdp))) {
+      std::lock_guard<std::mutex> lk(mu);
+      mismatches.push_back("rank " + std::to_string(c.rank()));
+    }
+    c.barrier();
+  });
+  if (!mismatches.empty()) *mismatch = mismatches.front();
+  return mismatches.empty();
+}
+
 TEST(FsdpPlan, RuntimeScheduleEqualsPlan) {
-  // Every strategy x prefetch x limiter combination on 4 ranks: the
-  // collectives the runtime records in a steady-state step are exactly the
-  // plan's comm ops, in order, on every rank.
+  // Every strategy x prefetch x limiter combination on 4 ranks, and DDP
+  // at a cap that splits units and at the 25 MB default: the collectives
+  // the runtime records in a steady-state step are exactly the plan's comm
+  // ops, in order, on every rank.
   const StrategyCase strategies[] = {
       {ShardingStrategy::kNoShard, 1, "no_shard"},
       {ShardingStrategy::kFullShard, 1, "full_shard"},
@@ -492,38 +557,16 @@ TEST(FsdpPlan, RuntimeScheduleEqualsPlan) {
         const std::string label = std::string(sc.label) + "/" +
                                   parallel::to_string(prefetch) +
                                   (limit ? "/limit" : "/nolimit");
-        std::mutex mu;
-        std::vector<std::string> mismatches;
-        run_ranks(4, [&](Communicator& c) {
-          Rng rng(1);
-          models::MAE mae(test_mae_cfg(), rng);
-          Fsdp fsdp(mae, c, opts);
-          Tensor batch = make_global_batch(2, 5);
-          for (int step = 0; step < 2; ++step) {
-            Rng mask_rng(static_cast<u64>(7 + step));
-            fsdp.begin_step();
-            mae.forward(batch, mask_rng, 0);
-            mae.backward();
-            fsdp.end_backward();
-          }
-          std::vector<std::pair<FsdpEvent::Type, int>> recorded;
-          for (const FsdpEvent& e : fsdp.last_schedule()) {
-            recorded.push_back({e.type, e.unit});
-          }
-          const auto plan =
-              parallel::plan_step(fsdp.n_units(), opts, fsdp.shard_group_size(),
-                                  fsdp.replica_group_size());
-          if (recorded != plan_events(plan)) {
-            std::lock_guard<std::mutex> lk(mu);
-            mismatches.push_back("rank " + std::to_string(c.rank()));
-          }
-          c.barrier();
-        });
-        EXPECT_TRUE(mismatches.empty())
-            << label << ": schedule differs from plan on "
-            << mismatches.front();
+        std::string mismatch;
+        EXPECT_TRUE(runtime_schedule_equals_plan(opts, &mismatch))
+            << label << ": schedule differs from plan on " << mismatch;
       }
     }
+  }
+  for (i64 cap : {i64{4096}, i64{25} * 1024 * 1024}) {
+    std::string mismatch;
+    EXPECT_TRUE(runtime_schedule_equals_plan(ddp_options(cap), &mismatch))
+        << "ddp/" << cap << " B: schedule differs from plan on " << mismatch;
   }
 }
 
@@ -555,7 +598,8 @@ TEST(FsdpPlan, LookaheadFollowsLimiter) {
   auto begin_gathers = [](bool limit) {
     FsdpOptions opts;
     opts.limit_all_gathers = limit;
-    const auto plan = parallel::plan_step(5, opts, 4, 1);
+    const auto plan =
+        parallel::plan_step(std::vector<i64>(5, 64), 64, opts, 4, 1);
     int n = 0;
     for (const auto& op : plan.front().ops) {
       n += op.type == Op::kGatherPost;
@@ -566,7 +610,8 @@ TEST(FsdpPlan, LookaheadFollowsLimiter) {
   EXPECT_EQ(begin_gathers(false), 1 + 5);
 
   FsdpOptions opts;
-  const auto plan = parallel::plan_step(5, opts, 4, 1);
+  const auto plan =
+      parallel::plan_step(std::vector<i64>(5, 64), 64, opts, 4, 1);
   for (const auto& point : plan) {
     if (point.hook != parallel::StepHook::kBeforeForward) continue;
     std::vector<parallel::StepOp> expect;
@@ -620,125 +665,131 @@ TEST(FsdpMemory, OptimizerParametersCoverAllUnits) {
 
 // ----- DDP ---------------------------------------------------------------------
 
-TEST(Ddp, MatchesSingleRankTraining) {
-  const auto ref = reference_params_after_training(8, 3);
-
-  std::vector<float> got;
-  std::mutex mu;
-  run_ranks(4, [&](Communicator& c) {
-    Rng rng(42);
-    models::MAE mae(test_mae_cfg(), rng);
-    parallel::Ddp ddp(mae, c);
-    optim::AdamW opt(mae.parameters(), 1e-3, 0.9, 0.95, 1e-8, 0.01);
-    Tensor global = make_global_batch(8, 777);
-    Tensor mine = batch_slice(global, c.rank() * 2, 2);
-    for (int s = 0; s < 3; ++s) {
-      Rng mask_rng(static_cast<u64>(9000 + s));
-      opt.zero_grad();
-      mae.forward(mine, mask_rng, c.rank() * 2);
-      mae.backward();
-      ddp.synchronize_gradients();
-      opt.step();
-    }
-    if (c.rank() == 0) {
-      std::lock_guard<std::mutex> lk(mu);
-      for (nn::Parameter* p : mae.parameters()) {
-        for (i64 i = 0; i < p->numel(); ++i) got.push_back(p->value[i]);
+// The bucket ops of a DDP plan for `model` on 4 ranks, in posting order.
+std::vector<parallel::StepOp> ddp_buckets(nn::StagedModel& model,
+                                          i64 bucket_cap_bytes) {
+  std::vector<parallel::StepOp> out;
+  const auto plan =
+      parallel::plan_step(stage_elements(model), root_elements(model),
+                          ddp_options(bucket_cap_bytes), 1, 4);
+  for (const auto& point : plan) {
+    for (const auto& op : point.ops) {
+      if (op.type == parallel::StepOp::Type::kBucketAllReducePost) {
+        out.push_back(op);
       }
     }
-    c.barrier();
-  });
+  }
+  return out;
+}
+
+TEST(Ddp, MatchesSingleRankTraining) {
+  const auto ref = reference_params_after_training(8, 3);
+  const auto got = fsdp_params_after_training(4, 8, 3, ddp_options());
   expect_params_close(got, ref, 2e-4f);
 }
 
 TEST(Ddp, BucketsRespectCapAndCoverEverything) {
-  run_ranks(1, [&](Communicator& c) {
-    Rng rng(1);
-    models::MAE mae(test_mae_cfg(), rng);
-    const i64 total = mae.num_params();
-    // Tiny cap: many buckets.
-    parallel::Ddp ddp(mae, c, /*bucket_cap_bytes=*/4096);
-    EXPECT_GT(ddp.n_buckets(), 1);
-    i64 sum = 0;
-    for (i64 e : ddp.bucket_elements()) {
-      sum += e;
-      // A bucket only exceeds the cap when a single parameter does.
-      EXPECT_TRUE(e <= 1024 || ddp.n_buckets() == 1 || true);
+  Rng rng(1);
+  models::MAE mae(test_mae_cfg(), rng);
+  // Tiny cap: many buckets.
+  const auto buckets = ddp_buckets(mae, /*bucket_cap_bytes=*/4096);
+  ASSERT_GT(buckets.size(), 1u);
+  i64 sum = 0;
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    EXPECT_EQ(buckets[b].unit, static_cast<int>(b));
+    const i64 e = parallel::bucket_elements(buckets[b].bucket);
+    sum += e;
+    // Every bucket holds exactly the cap; only the last may be short.
+    if (b + 1 < buckets.size()) {
+      EXPECT_EQ(e, 1024) << "bucket " << b;
+    } else {
+      EXPECT_GT(e, 0);
+      EXPECT_LE(e, 1024);
     }
-    EXPECT_EQ(sum, total);
-  });
+  }
+  EXPECT_EQ(sum, mae.num_params());
+
+  // The segments walk every unit's gradient once, in backward order:
+  // stages last to first, then the root, each from offset 0 up.
+  const auto stages = stage_elements(mae);
+  std::vector<std::pair<int, i64>> walk;  // (unit, elements) per unit
+  for (const auto& bucket : buckets) {
+    for (const auto& seg : bucket.bucket) {
+      if (walk.empty() || walk.back().first != seg.unit) {
+        walk.push_back({seg.unit, 0});
+      }
+      EXPECT_EQ(seg.offset, walk.back().second) << "unit " << seg.unit;
+      walk.back().second += seg.len;
+    }
+  }
+  std::vector<std::pair<int, i64>> want;
+  for (int u = static_cast<int>(stages.size()) - 1; u >= 0; --u) {
+    want.push_back({u, stages[static_cast<size_t>(u)]});
+  }
+  want.push_back({-1, root_elements(mae)});
+  EXPECT_EQ(walk, want);
 }
 
 TEST(Ddp, MoreBucketsForBiggerModelAtFixedCap) {
   // The paper's observation: DDP's constant message size means the number
   // of communication calls grows with model size.
-  run_ranks(1, [&](Communicator& c) {
-    Rng rng(1);
-    auto small_cfg = test_mae_cfg();
-    models::MAE small(small_cfg, rng);
-    auto big_cfg = test_mae_cfg();
-    big_cfg.encoder.width = 32;
-    big_cfg.encoder.mlp_dim = 64;
-    big_cfg.encoder.depth = 6;
-    models::MAE big(big_cfg, rng);
-    parallel::Ddp dsmall(small, c, 8192);
-    parallel::Ddp dbig(big, c, 8192);
-    EXPECT_GT(dbig.n_buckets(), dsmall.n_buckets());
-  });
+  Rng rng(1);
+  auto small_cfg = test_mae_cfg();
+  models::MAE small(small_cfg, rng);
+  auto big_cfg = test_mae_cfg();
+  big_cfg.encoder.width = 32;
+  big_cfg.encoder.mlp_dim = 64;
+  big_cfg.encoder.depth = 6;
+  models::MAE big(big_cfg, rng);
+  EXPECT_GT(ddp_buckets(big, 8192).size(), ddp_buckets(small, 8192).size());
 }
 
 TEST(Ddp, LaunchesBucketsFromBackwardHooks) {
-  // With a tiny bucket cap most buckets contain a single stage, so their
-  // all-reduces must launch from the backward hooks — before
-  // synchronize_gradients() is ever called — and every bucket is waited
-  // exactly once during the drain.
+  // With a tiny bucket cap most buckets fill inside one stage, so their
+  // all-reduces must post from the backward hooks — before end_backward()
+  // is ever called — and every bucket is waited exactly once during the
+  // drain.
   run_ranks(2, [&](Communicator& c) {
     Rng rng(1);
     models::MAE mae(test_mae_cfg(), rng);
-    parallel::Ddp ddp(mae, c, /*bucket_cap_bytes=*/4096);
-    ASSERT_GT(ddp.n_buckets(), 2);
+    Fsdp fsdp(mae, c, ddp_options(/*bucket_cap_bytes=*/4096));
+    const int n_buckets = static_cast<int>(ddp_buckets(mae, 4096).size());
+    ASSERT_GT(n_buckets, 2);
     Tensor batch = make_global_batch(2, 5);
     Rng mask_rng(7);
-    for (nn::Parameter* p : mae.parameters()) p->grad.fill_(0.f);
+    fsdp.begin_step();
     mae.forward(batch, mask_rng, 0);
     mae.backward();
-    ddp.synchronize_gradients();
-    EXPECT_GT(ddp.buckets_launched_in_backward(), 0);
-    EXPECT_LE(ddp.buckets_launched_in_backward(), ddp.n_buckets());
-    EXPECT_EQ(ddp.last_sync_stats().waits, ddp.n_buckets());
+    const int posted_in_backward =
+        static_cast<int>(fsdp.last_schedule().size());
+    fsdp.end_backward();
+    EXPECT_GT(posted_in_backward, 0);
+    EXPECT_LE(posted_in_backward, n_buckets);
+    EXPECT_EQ(static_cast<int>(fsdp.last_schedule().size()), n_buckets);
+    EXPECT_EQ(fsdp.last_step_stats().waits, n_buckets);
     c.barrier();
   });
 }
 
 TEST(Ddp, SmallBucketsMatchSingleRankTraining) {
-  // Equivalence must survive the hook-launched, multi-bucket async path.
+  // Equivalence must survive the hook-posted, multi-bucket async path.
   const auto ref = reference_params_after_training(8, 3);
-  std::vector<float> got;
-  std::mutex mu;
-  run_ranks(4, [&](Communicator& c) {
-    Rng rng(42);
-    models::MAE mae(test_mae_cfg(), rng);
-    parallel::Ddp ddp(mae, c, /*bucket_cap_bytes=*/4096);
-    optim::AdamW opt(mae.parameters(), 1e-3, 0.9, 0.95, 1e-8, 0.01);
-    Tensor global = make_global_batch(8, 777);
-    Tensor mine = batch_slice(global, c.rank() * 2, 2);
-    for (int s = 0; s < 3; ++s) {
-      Rng mask_rng(static_cast<u64>(9000 + s));
-      opt.zero_grad();
-      mae.forward(mine, mask_rng, c.rank() * 2);
-      mae.backward();
-      ddp.synchronize_gradients();
-      opt.step();
-    }
-    if (c.rank() == 0) {
-      std::lock_guard<std::mutex> lk(mu);
-      for (nn::Parameter* p : mae.parameters()) {
-        for (i64 i = 0; i < p->numel(); ++i) got.push_back(p->value[i]);
-      }
-    }
-    c.barrier();
-  });
+  const auto got =
+      fsdp_params_after_training(4, 8, 3, ddp_options(/*bucket_cap_bytes=*/4096));
   expect_params_close(got, ref, 2e-4f);
+}
+
+TEST(Ddp, BucketedRuntimeBitwiseEqualsNoShard) {
+  // DDP and NO_SHARD both sum every gradient element in rank order and
+  // scale by 1/W; only the message boundaries differ. So however the
+  // buckets split the units, the trained parameters are bitwise equal.
+  FsdpOptions no_shard;
+  no_shard.strategy = ShardingStrategy::kNoShard;
+  const auto want = fsdp_params_after_training(4, 8, 3, no_shard);
+  for (i64 cap : {i64{4096}, i64{25} * 1024 * 1024}) {
+    EXPECT_EQ(fsdp_params_after_training(4, 8, 3, ddp_options(cap)), want)
+        << cap << " B buckets";
+  }
 }
 
 TEST(FsdpHybrid, RejectsNonDivisibleGroup) {

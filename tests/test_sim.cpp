@@ -114,8 +114,7 @@ TEST(SimShapes, NoShardBeatsHybridTwoForSingleGpuModels) {
 }
 
 TEST(SimShapes, DdpFsdpGapGrowsWithModelSize) {
-  ParallelPlan ddp;
-  ddp.kind = ParallelPlan::Kind::kDdp;
+  const ParallelPlan ddp = plan_fsdp(ShardingStrategy::kDdp);
   const double gap_base =
       ips(models::vit_base(), 64, plan_fsdp(ShardingStrategy::kNoShard)) /
       ips(models::vit_base(), 64, ddp);
@@ -440,6 +439,54 @@ TEST(SimGolden, Fig4PowerTraceAtThirtyTwoNodes) {
         fmt_f(power.comm_utilization, 2) + "|" +
         fmt_f(sim.memory_footprint().total() / double(1ull << 30), 1);
     EXPECT_EQ(got, r.row) << r.label;
+  }
+}
+
+// A DDP plan whose gradient buckets hold `cap_bytes` each.
+ParallelPlan ddp_plan(i64 cap_bytes = 25ll * 1024 * 1024) {
+  ParallelPlan p = plan_fsdp(ShardingStrategy::kDdp);
+  p.fsdp.ddp_bucket_cap_bytes = cap_bytes;
+  return p;
+}
+
+// Pins bench_fig3's DDP rows and bench_ablation_ddp_bucket (ViT-3B at 32
+// nodes) at the precision the benches print.
+TEST(SimGolden, Fig3DdpRowsAndBucketAblation) {
+  const std::vector<int> nodes = {1, 2, 4, 8, 16, 32, 64};
+  struct Fig3Row {
+    models::ViTConfig cfg;
+    const char* ips;  // n=1..64, '/'-separated
+  };
+  const Fig3Row rows[] = {
+      {models::vit_base(), "2768/5390/10510/20378/38932/71539/117223"},
+      {models::vit_huge(), "325/637/1251/2444/4725/8929/15216"},
+      {models::vit_1b(), "228/446/875/1709/3305/6246/10628"},
+      {models::vit_3b(), "69/135/264/516/997/1884/3193"},
+  };
+  for (const Fig3Row& row : rows) {
+    std::string got;
+    for (int n : nodes) {
+      got += (got.empty() ? "" : "/") + fmt_f(ips(row.cfg, n, ddp_plan()), 0);
+    }
+    EXPECT_EQ(got, row.ips) << row.cfg.name;
+  }
+
+  struct BucketRow {
+    i64 mb;
+    const char* row;  // ips@32n | comm calls
+  };
+  const BucketRow buckets[] = {
+      {1, "635|11627"},  {5, "1149|2326"},  {25, "1884|466"},
+      {100, "2012|117"}, {400, "2047|30"},
+  };
+  for (const BucketRow& b : buckets) {
+    TrainingSimulator sim(vit_step_workload(models::vit_3b(), 32), frontier(),
+                          32, ddp_plan(b.mb * 1024 * 1024));
+    const StepTiming t = sim.simulate_step();
+    EXPECT_EQ(fmt_f(t.images_per_second_total, 0) + "|" +
+                  fmt_i(t.comm_calls),
+              b.row)
+        << b.mb << " MB buckets";
   }
 }
 
