@@ -15,13 +15,14 @@
 // write — not to police noise.
 //
 // Usage:  bench_span_budget_gate [budgets-file]
-#include <cmath>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "geofm.hpp"
 
@@ -151,6 +152,15 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(elastic_root);
   std::filesystem::remove_all(mirror_root);
 
+  // The training phases last only ~0.3 s, about three ticks, too few to
+  // tell a sampler at full rate from one at half. Keep the sampler running
+  // idle until its window spans kTickWindowSeconds, so the tick count
+  // below is a rate over ~25 intervals.
+  constexpr double kTickWindowSeconds = 2.5;
+  while (monotonic_seconds() - telemetry_t0 < kTickWindowSeconds) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
   // Stop the sampler before the serving phase; its final tick lands here,
   // and the series itself is discarded. Every training thread has joined,
   // so the only event recorded after the final tick's drain is that tick's
@@ -279,10 +289,14 @@ int main(int argc, char** argv) {
               events_recorded);
   if (!visits_ok) ++violations;
   // The loop waits one interval between ticks and stop() adds a final one.
+  // A tick can run late under load (preempted for tens of ms) but never
+  // early, so the count must reach 80% of the window's intervals and
+  // exceed them by at most 2; a sampler at half its rate reads ~55%.
   const double ticks_expected = telemetry_seconds / topts.interval_seconds;
-  const bool ticks_ok = std::abs(telemetry_ticks - ticks_expected) <= 2;
-  std::printf("  %s  %-22s %.0f ticks in %.2f s at %.0f Hz (expect %.1f +- "
-              "2)\n",
+  const bool ticks_ok = telemetry_ticks >= 0.8 * ticks_expected &&
+                        telemetry_ticks <= ticks_expected + 2;
+  std::printf("  %s  %-22s %.0f ticks in %.2f s at %.0f Hz (expect %.1f, "
+              "80%% .. +2)\n",
               ticks_ok ? "ok  " : "FAIL", "telemetry.ticks", telemetry_ticks,
               telemetry_seconds, 1 / topts.interval_seconds, ticks_expected);
   if (!ticks_ok) ++violations;

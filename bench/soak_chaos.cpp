@@ -123,6 +123,11 @@ geofm::chaos::ServeAudit flood_server(const geofm::chaos::Campaign& campaign,
           {e.in_channels, e.img_size, e.img_size}, rng, 0.5f);
       req.tenant = (r % 4 == 0) ? "soak-light" : "soak-heavy";
       req.lane = (r % 8 == 0) ? serve::Lane::kInteractive : serve::Lane::kBulk;
+      // Every eighth request (a bulk one) gets half the batching window
+      // as its budget: less than the full queue ahead of it takes, so
+      // the deadline shed path (hopeless at admission, or expired while
+      // queued) runs under the flood.
+      if (r % 8 == 5) req.deadline_us = scfg.max_delay_us / 2;
       futs.push_back(server.submit(std::move(req)));
       audit.issued += 1;
     }
@@ -194,6 +199,7 @@ int main(int argc, char** argv) {
   i64 ran = 0;
   i64 failed = 0;
   i64 displaced = 0;  // shed_fair_share summed over every campaign
+  i64 deadline_shed = 0;  // shed_deadline summed over every campaign
   while ((ran == 0 || elapsed() < budget_seconds) &&
          (max_campaigns == 0 || ran < max_campaigns)) {
     const u64 seed = base_seed + static_cast<u64>(ran);
@@ -230,6 +236,7 @@ int main(int argc, char** argv) {
                   static_cast<long long>(audit.stats.shed_fair_share),
                   static_cast<long long>(audit.stats.shed_deadline));
       displaced += audit.stats.shed_fair_share;
+      deadline_shed += audit.stats.shed_deadline;
 
       geofm::chaos::InvariantInputs in;
       in.config = &cfg;
@@ -260,15 +267,22 @@ int main(int argc, char** argv) {
   }
 
   std::printf("soak: %lld campaign(s) in %.1fs, %lld violated, %lld "
-              "displaced\n",
+              "displaced, %lld shed for deadline\n",
               static_cast<long long>(ran), elapsed(),
               static_cast<long long>(failed),
-              static_cast<long long>(displaced));
+              static_cast<long long>(displaced),
+              static_cast<long long>(deadline_shed));
   if (failed == 0) fs::remove_all(soak_root);
   // The flood exists to drive the admission displacement order; a soak in
   // which no arrival ever displaced a queued request did not test it.
   if (displaced == 0) {
     std::printf("VIOLATION [serve] no request was displaced over the soak\n");
+    return 1;
+  }
+  // Likewise for the deadline shed path the flood's short budgets drive.
+  if (deadline_shed == 0) {
+    std::printf("VIOLATION [serve] no request was shed for its deadline "
+                "over the soak\n");
     return 1;
   }
   return failed == 0 ? 0 : 1;

@@ -102,6 +102,13 @@ if [[ "$SKIP_TSAN" == "0" ]]; then
   ./build-tsan/tests/geofm_tests \
       --gtest_filter='*FsdpEquivalence.*:FsdpSchedule.*:FsdpLimiter.*:FsdpPlan.*:Ddp.*' \
       --gtest_repeat=3
+  echo "== TSan: rendezvous engine, extra schedules =="
+  # Collectives, barriers and splits share one ticketed engine; abort, the
+  # watchdog and the flight recorder race the ranks joining its ops.
+  # Repeat the engine suites for schedule diversity.
+  ./build-tsan/tests/geofm_tests \
+      --gtest_filter='Comm.*:*CollectivesAcrossRanks*:Watchdog.*:Fault.*:Postmortem.*' \
+      --gtest_repeat=3
   echo "== TSan: fault-injected restart, extra schedules =="
   # The abort -> unwind -> async-writer-drain -> resume path is the most
   # concurrency-dense sequence in the repo; ctest above ran it once, this

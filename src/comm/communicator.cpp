@@ -24,6 +24,8 @@ const char* post_name(detail::PendingOp::Kind k) {
     case Kind::kAllGather: return "comm.post.all_gather";
     case Kind::kReduceScatter: return "comm.post.reduce_scatter";
     case Kind::kBroadcast: return "comm.post.broadcast";
+    case Kind::kBarrier: return "comm.post.barrier";
+    case Kind::kSplit: return "comm.post.split";
   }
   return "comm.post";
 }
@@ -35,6 +37,8 @@ const char* wait_name(detail::PendingOp::Kind k) {
     case Kind::kAllGather: return "comm.wait.all_gather";
     case Kind::kReduceScatter: return "comm.wait.reduce_scatter";
     case Kind::kBroadcast: return "comm.wait.broadcast";
+    case Kind::kBarrier: return "comm.wait.barrier";
+    case Kind::kSplit: return "comm.wait.split";
   }
   return "comm.wait";
 }
@@ -46,6 +50,8 @@ const char* execute_name(detail::PendingOp::Kind k) {
     case Kind::kAllGather: return "comm.execute.all_gather";
     case Kind::kReduceScatter: return "comm.execute.reduce_scatter";
     case Kind::kBroadcast: return "comm.execute.broadcast";
+    case Kind::kBarrier: return "comm.execute.barrier";
+    case Kind::kSplit: return "comm.execute.split";
   }
   return "comm.execute";
 }
@@ -71,66 +77,17 @@ const char* op_label(PendingOp::Kind k) {
     case PendingOp::Kind::kAllGather: return "all_gather";
     case PendingOp::Kind::kReduceScatter: return "reduce_scatter";
     case PendingOp::Kind::kBroadcast: return "broadcast";
+    case PendingOp::Kind::kBarrier: return "barrier";
+    case PendingOp::Kind::kSplit: return "split";
   }
   return "collective";
 }
 
-LeaderBarrier::LeaderBarrier(int n)
-    : n_(n), in_(static_cast<size_t>(n), 0) {
-  GEOFM_CHECK(n > 0);
-}
-
-void LeaderBarrier::arrive(int rank, const std::function<void()>& leader) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (aborted_) throw Aborted("communicator aborted: " + abort_reason_);
-  if (arrived_ == 0) round_start_ = std::chrono::steady_clock::now();
-  in_[static_cast<size_t>(rank)] = 1;
-  if (++arrived_ == n_) {
-    if (leader) leader();
-    arrived_ = 0;
-    std::fill(in_.begin(), in_.end(), 0);
-    ++generation_;
-    cv_.notify_all();
-  } else {
-    const u64 gen = generation_;
-    cv_.wait(lk, [&] { return generation_ != gen || aborted_; });
-    if (generation_ == gen && aborted_) {
-      throw Aborted("communicator aborted: " + abort_reason_);
-    }
-  }
-}
-
-void LeaderBarrier::abort(const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!aborted_) {
-      aborted_ = true;
-      abort_reason_ = reason;
-    }
-  }
-  cv_.notify_all();
-}
-
-LeaderBarrier::Status LeaderBarrier::status() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  Status s;
-  s.arrived = arrived_;
-  if (arrived_ > 0) {
-    s.oldest_wait_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      round_start_)
-            .count();
-    for (int r = 0; r < n_; ++r) {
-      if (!in_[static_cast<size_t>(r)]) s.missing.push_back(r);
-    }
-  }
-  return s;
-}
-
-PendingOp::PendingOp(Kind k, ReduceOp r, int n_ranks)
+PendingOp::PendingOp(Kind k, ReduceOp r, int n_ranks, u64 t)
     : kind(k),
       red(r),
       n(n_ranks),
+      ticket(t),
       src(static_cast<size_t>(n_ranks), nullptr),
       dst(static_cast<size_t>(n_ranks), nullptr),
       counts(static_cast<size_t>(n_ranks), 0),
@@ -138,12 +95,9 @@ PendingOp::PendingOp(Kind k, ReduceOp r, int n_ranks)
 
 CommGroup::CommGroup(int n)
     : size(n),
-      barrier(n),
       global_ranks(static_cast<size_t>(n)),
       next_ticket(static_cast<size_t>(n), 0),
-      heartbeat(std::make_unique<RankClock[]>(static_cast<size_t>(n))),
-      colors(static_cast<size_t>(n), 0),
-      keys(static_cast<size_t>(n), 0) {
+      heartbeat(std::make_unique<RankClock[]>(static_cast<size_t>(n))) {
   std::iota(global_ranks.begin(), global_ranks.end(), 0);
 }
 
@@ -152,12 +106,10 @@ CommGroup::~CommGroup() { stop_watchdog(*this); }
 // Recursively poisons a group and every subgroup split from it. The
 // aborted flag is published under async_mu (post checks it there before
 // inserting a new op), so no op can join the inflight map after the sweep
-// below misses it; the barrier is poisoned last so a rank released from a
-// collective cannot re-block on a rendezvous that will never fill.
+// below misses it.
 void abort_group(CommGroup& g, const std::string& reason,
                  const char* flight_kind) {
   std::vector<std::shared_ptr<PendingOp>> ops;
-  std::vector<u64> tickets;
   std::vector<int> suspects;
   bool first_abort = false;
   {
@@ -168,10 +120,7 @@ void abort_group(CommGroup& g, const std::string& reason,
       first_abort = true;
     }
     ops.reserve(g.inflight.size());
-    for (auto& [ticket, op] : g.inflight) {
-      ops.push_back(op);
-      tickets.push_back(ticket);
-    }
+    for (auto& [ticket, op] : g.inflight) ops.push_back(op);
     suspects = g.suspects;
   }
   // Flight recorder: the first abort of a cascade freezes the rendezvous
@@ -182,14 +131,12 @@ void abort_group(CommGroup& g, const std::string& reason,
   const bool flight =
       first_abort && obs::FlightRecorder::instance().enabled();
   std::vector<obs::InflightOpState> frozen;
-  std::vector<obs::BarrierState> frozen_barriers;
   const auto now = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    auto& op = ops[i];
+  for (auto& op : ops) {
     std::lock_guard<std::mutex> lk(op->mu);
     if (flight && !op->complete && op->arrived > 0 && op->arrived < op->n) {
       obs::InflightOpState st;
-      st.ticket = tickets[i];
+      st.ticket = op->ticket;
       st.op = op_label(op->kind);
       st.arrived = op->arrived;
       st.size = op->n;
@@ -213,23 +160,8 @@ void abort_group(CommGroup& g, const std::string& reason,
     op->cv.notify_all();
   }
   if (flight) {
-    const auto bs = g.barrier.status();
-    if (bs.arrived > 0) {
-      obs::BarrierState st;
-      st.arrived = bs.arrived;
-      st.size = g.size;
-      st.oldest_wait_seconds = bs.oldest_wait_seconds;
-      for (const int r : bs.missing) {
-        st.missing.push_back(g.global_ranks[static_cast<size_t>(r)]);
-      }
-      frozen_barriers.push_back(std::move(st));
-    }
-  }
-  g.barrier.abort(reason);
-  if (flight) {
     obs::FlightRecorder::instance().capture(flight_kind, reason, suspects,
-                                            std::move(frozen),
-                                            std::move(frozen_barriers));
+                                            std::move(frozen));
   }
   std::vector<std::shared_ptr<CommGroup>> children;
   {
@@ -270,33 +202,22 @@ void execute_op(PendingOp& op) {
                     "all_reduce size mismatch across ranks");
       }
       // src may alias dst (in-place), so reduce into scratch first.
-      std::vector<float> scratch(static_cast<size_t>(n0));
-      if (op.red == ReduceOp::kMax) {
-        std::copy_n(op.src[0], n0, scratch.data());
-        for (int r = 1; r < op.n; ++r) {
-          const float* s = op.src[static_cast<size_t>(r)];
-          for (i64 i = 0; i < n0; ++i) {
-            scratch[static_cast<size_t>(i)] =
-                std::max(scratch[static_cast<size_t>(i)], s[i]);
-          }
-        }
-      } else {
-        std::fill(scratch.begin(), scratch.end(), 0.f);
-        for (int r = 0; r < op.n; ++r) {
-          const float* s = op.src[static_cast<size_t>(r)];
-          for (i64 i = 0; i < n0; ++i) scratch[static_cast<size_t>(i)] += s[i];
-        }
-        if (op.red == ReduceOp::kAvg) {
-          const float inv = 1.f / static_cast<float>(op.n);
-          for (float& v : scratch) v *= inv;
-        }
+      std::vector<float> scratch(static_cast<size_t>(n0), 0.f);
+      for (int r = 0; r < op.n; ++r) {
+        const float* s = op.src[static_cast<size_t>(r)];
+        for (i64 i = 0; i < n0; ++i) scratch[static_cast<size_t>(i)] += s[i];
+      }
+      if (op.red == ReduceOp::kAvg) {
+        const float inv = 1.f / static_cast<float>(op.n);
+        for (float& v : scratch) v *= inv;
       }
       for (int r = 0; r < op.n; ++r) {
         std::copy_n(scratch.data(), n0, op.dst[static_cast<size_t>(r)]);
       }
       break;
     }
-    case PendingOp::Kind::kAllGather: {
+    case PendingOp::Kind::kAllGather:
+    case PendingOp::Kind::kSplit: {
       for (int r = 0; r < op.n; ++r) {
         GEOFM_CHECK(op.counts[static_cast<size_t>(r)] == n0,
                     "all_gather shard size mismatch across ranks");
@@ -311,8 +232,6 @@ void execute_op(PendingOp& op) {
       break;
     }
     case PendingOp::Kind::kReduceScatter: {
-      GEOFM_CHECK(op.red != ReduceOp::kMax,
-                  "reduce_scatter kMax not supported");
       for (int r = 0; r < op.n; ++r) {
         GEOFM_CHECK(op.counts[static_cast<size_t>(r)] == n0,
                     "reduce_scatter input size mismatch across ranks");
@@ -347,6 +266,8 @@ void execute_op(PendingOp& op) {
       }
       break;
     }
+    case PendingOp::Kind::kBarrier:
+      break;  // the rendezvous is the whole operation
   }
 }
 
@@ -417,34 +338,6 @@ void CollectiveHandle::wait(CommStats* stats) {
   if (err) std::rethrow_exception(err);
 }
 
-bool CollectiveHandle::wait_for(double seconds, CommStats* stats) {
-  if (!op_) return true;
-  const auto t0 = std::chrono::steady_clock::now();
-  bool was_complete;
-  {
-    std::unique_lock<std::mutex> lk(op_->mu);
-    was_complete = op_->complete;
-    if (!op_->cv.wait_for(lk, std::chrono::duration<double>(seconds),
-                          [&] { return op_->complete; })) {
-      return false;  // still in flight; the handle stays pending
-    }
-  }
-  if (stats != nullptr) {
-    ++stats->waits;
-    if (was_complete) ++stats->completed_before_wait;
-    stats->exposed_wait_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double busy =
-        std::chrono::duration<double>(op_->complete_tp - issued_).count();
-    stats->busy_seconds += busy > 0 ? busy : 0;
-  }
-  std::exception_ptr err = op_->error;
-  op_.reset();
-  if (err) std::rethrow_exception(err);
-  return true;
-}
-
 Communicator::Communicator(std::shared_ptr<detail::CommGroup> group, int rank)
     : group_(std::move(group)), rank_(rank) {
   GEOFM_CHECK(group_ != nullptr);
@@ -456,12 +349,9 @@ int Communicator::global_rank() const {
 }
 
 void Communicator::barrier() {
-  group_->heartbeat[static_cast<size_t>(rank_)].last_ns.store(
-      static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now().time_since_epoch())
-                           .count()),
-      std::memory_order_relaxed);
-  group_->barrier.arrive(rank_);
+  post(detail::PendingOp::Kind::kBarrier, ReduceOp::kSum, -1, nullptr,
+       nullptr, 0)
+      .wait();
 }
 
 CollectiveHandle Communicator::post(detail::PendingOp::Kind kind, ReduceOp red,
@@ -488,11 +378,15 @@ CollectiveHandle Communicator::post(detail::PendingOp::Kind kind, ReduceOp red,
       throw Aborted("communicator aborted: " + g.abort_reason);
     }
     ticket = g.next_ticket[static_cast<size_t>(rank_)]++;
-    injector = g.injector;
+    // Barrier and split rendezvous never consult the injector, so a fault
+    // plan's post ordinals count data collectives only.
+    if (kind != PendingOp::Kind::kBarrier && kind != PendingOp::Kind::kSplit) {
+      injector = g.injector;
+    }
     if (!injector) {
       auto it = g.inflight.find(ticket);
       if (it == g.inflight.end()) {
-        op = std::make_shared<PendingOp>(kind, red, g.size);
+        op = std::make_shared<PendingOp>(kind, red, g.size, ticket);
         g.inflight.emplace(ticket, op);
       } else {
         op = it->second;
@@ -522,7 +416,7 @@ CollectiveHandle Communicator::post(detail::PendingOp::Kind kind, ReduceOp red,
     }
     auto it = g.inflight.find(ticket);
     if (it == g.inflight.end()) {
-      op = std::make_shared<PendingOp>(kind, red, g.size);
+      op = std::make_shared<PendingOp>(kind, red, g.size, ticket);
       g.inflight.emplace(ticket, op);
     } else {
       op = it->second;
@@ -654,62 +548,53 @@ void Communicator::install_fault_injector(
 }
 
 Communicator Communicator::split(int color, int key) {
+  // (color, key) travel as floats, which hold every integer up to 2^24.
+  constexpr int kExact = 1 << 24;
+  GEOFM_CHECK(color >= -kExact && color <= kExact && key >= -kExact &&
+                  key <= kExact,
+              "split color and key must lie in [-2^24, 2^24]");
   auto& g = *group_;
-  g.colors[static_cast<size_t>(rank_)] = color;
-  g.keys[static_cast<size_t>(rank_)] = key;
+  const float mine[2] = {static_cast<float>(color), static_cast<float>(key)};
+  std::vector<float> all(static_cast<size_t>(2 * g.size));
+  CollectiveHandle h = post(detail::PendingOp::Kind::kSplit, ReduceOp::kSum,
+                            -1, mine, all.data(), 2);
+  const u64 ticket = h.op_->ticket;  // the same on every rank of the split
+  h.wait();
 
-  u64 seq = 0;
-  g.barrier.arrive(rank_, [&] {
-    // Subgroups inherit the parent's injector and map their ranks back to
-    // root identities, so fault plans and watchdog diagnoses stay in
-    // world-rank terms at every level of the hierarchy.
-    std::shared_ptr<FaultInjector> injector;
-    {
-      std::lock_guard<std::mutex> alk(g.async_mu);
-      injector = g.injector;
-    }
-    std::lock_guard<std::mutex> lk(g.split_mu);
-    const u64 this_seq = g.split_seq++;
-    // Group ranks by color, order by (key, old rank).
-    std::map<int, std::vector<int>> by_color;
-    for (int r = 0; r < g.size; ++r) {
-      by_color[g.colors[static_cast<size_t>(r)]].push_back(r);
-    }
-    for (auto& [c, ranks] : by_color) {
-      std::stable_sort(ranks.begin(), ranks.end(), [&](int a, int b) {
-        return g.keys[static_cast<size_t>(a)] < g.keys[static_cast<size_t>(b)];
-      });
-      auto sub =
-          std::make_shared<detail::CommGroup>(static_cast<int>(ranks.size()));
-      for (size_t i = 0; i < ranks.size(); ++i) {
-        sub->global_ranks[i] =
-            g.global_ranks[static_cast<size_t>(ranks[i])];
-      }
-      sub->injector = injector;  // not yet published; no lock needed
-      g.subgroups[{this_seq, c}] = sub;
-      g.members[{this_seq, c}] = ranks;
-    }
-  });
-
-  {
-    // Every rank observes the same sequence number: it is the value the
-    // leader consumed, i.e. split_seq - 1 after exactly one split.
-    std::lock_guard<std::mutex> lk(g.split_mu);
-    seq = g.split_seq - 1;
+  // This color's members ordered by (key, old rank), computed locally.
+  std::vector<int> ranks;
+  for (int r = 0; r < g.size; ++r) {
+    if (all[static_cast<size_t>(2 * r)] == mine[0]) ranks.push_back(r);
   }
+  std::stable_sort(ranks.begin(), ranks.end(), [&](int a, int b) {
+    return all[static_cast<size_t>(2 * a + 1)] <
+           all[static_cast<size_t>(2 * b + 1)];
+  });
+  const int sub_rank = static_cast<int>(
+      std::find(ranks.begin(), ranks.end(), rank_) - ranks.begin());
 
   std::shared_ptr<detail::CommGroup> sub;
-  int sub_rank = -1;
   {
     std::lock_guard<std::mutex> lk(g.split_mu);
-    sub = g.subgroups.at({seq, color});
-    const auto& ranks = g.members.at({seq, color});
-    for (size_t i = 0; i < ranks.size(); ++i) {
-      if (ranks[i] == rank_) sub_rank = static_cast<int>(i);
+    std::shared_ptr<detail::CommGroup>& slot = g.subgroups[{ticket, color}];
+    if (!slot) {
+      // Subgroups inherit the parent's injector and abort state and map
+      // their ranks back to root identities, so fault plans and watchdog
+      // diagnoses stay in world-rank terms at every level. An abort that
+      // lands after this read takes split_mu to sweep the children, so it
+      // sees the new entry.
+      slot = std::make_shared<detail::CommGroup>(
+          static_cast<int>(ranks.size()));
+      for (size_t i = 0; i < ranks.size(); ++i) {
+        slot->global_ranks[i] = g.global_ranks[static_cast<size_t>(ranks[i])];
+      }
+      std::lock_guard<std::mutex> alk(g.async_mu);
+      slot->injector = g.injector;  // not yet published; no lock needed
+      slot->aborted = g.aborted;
+      slot->abort_reason = g.abort_reason;
     }
+    sub = slot;
   }
-  GEOFM_CHECK(sub_rank >= 0, "split bookkeeping failure");
-  g.barrier.arrive(rank_);  // keep registries alive until everyone resolves
   return Communicator(sub, sub_rank);
 }
 

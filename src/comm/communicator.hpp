@@ -23,12 +23,16 @@
 // group x inter-node replication group); each group has its own matching
 // sequence, so parent and child collectives interleave freely.
 //
+// The engine is the only rendezvous: `barrier()` is a zero-payload op and
+// `split()` an all-gather of every rank's (color, key), both ticketed like
+// any collective. Neither consults the fault injector, so fault-plan post
+// ordinals count data collectives only.
+//
 // Failure handling: `abort()` poisons a group (and its subgroups) so every
-// blocked rendezvous — collective waits AND plain barriers — throws
-// `Aborted` instead of deadlocking. A `FaultInjector`
-// (`comm/fault.hpp`) can be installed under the communicator to replay a
-// deterministic schedule of rank kills, stalls, latency, and payload
-// corruption at the collective boundary, and a watchdog
+// blocked rendezvous throws `Aborted` instead of deadlocking. A
+// `FaultInjector` (`comm/fault.hpp`) can be installed under the
+// communicator to replay a deterministic schedule of rank kills, stalls,
+// latency, and payload corruption at the collective boundary, and a watchdog
 // (`comm/watchdog.hpp`) monitors rendezvous progress and aborts the group
 // with a diagnosis when a rank stalls past its deadline.
 #pragma once
@@ -50,7 +54,7 @@ namespace geofm::comm {
 class FaultInjector;    // comm/fault.hpp
 struct WatchdogOptions;  // comm/watchdog.hpp
 
-enum class ReduceOp { kSum, kAvg, kMax };
+enum class ReduceOp { kSum, kAvg };
 
 /// Thrown by every rendezvous (post, wait, barrier, split) on a group that
 /// has been aborted — by `Communicator::abort`, by the watchdog, or by a
@@ -84,40 +88,6 @@ namespace detail {
 
 struct CommGroup;
 
-/// Sense-reversing N-party barrier. The last rank to arrive runs the
-/// (optional) leader section before anyone is released. Abort-aware:
-/// `abort()` releases every waiter (and fails every future arrival) with
-/// `Aborted`, and `status()` exposes who is missing from an in-progress
-/// round so the watchdog can diagnose a stalled rank.
-class LeaderBarrier {
- public:
-  explicit LeaderBarrier(int n);
-
-  /// `rank` identifies the arriving rank for stall diagnosis.
-  void arrive(int rank, const std::function<void()>& leader = {});
-
-  /// Poisons the barrier: current and future arrivals throw Aborted.
-  void abort(const std::string& reason);
-
-  struct Status {
-    int arrived = 0;               // ranks waiting in the current round
-    double oldest_wait_seconds = 0;  // age of the round's first arrival
-    std::vector<int> missing;      // ranks not yet arrived (when arrived > 0)
-  };
-  Status status() const;
-
- private:
-  const int n_;
-  int arrived_ = 0;
-  u64 generation_ = 0;
-  bool aborted_ = false;
-  std::string abort_reason_;
-  std::vector<char> in_;  // per-rank arrived flag for the current round
-  std::chrono::steady_clock::time_point round_start_{};
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-};
-
 /// One in-flight collective: the rendezvous record every participating rank
 /// posts its buffers into. The last rank to arrive executes the operation
 /// (reductions in rank order, into op-owned scratch) and publishes
@@ -125,13 +95,23 @@ class LeaderBarrier {
 /// failures (size/kind/root mismatch across ranks) complete the op with an
 /// error that every waiter rethrows, instead of deadlocking.
 struct PendingOp {
-  enum class Kind { kAllReduce, kAllGather, kReduceScatter, kBroadcast };
+  // kBarrier carries no payload; kSplit is split()'s all-gather of every
+  // rank's (color, key). Neither consults the fault injector.
+  enum class Kind {
+    kAllReduce,
+    kAllGather,
+    kReduceScatter,
+    kBroadcast,
+    kBarrier,
+    kSplit
+  };
 
-  PendingOp(Kind k, ReduceOp r, int n_ranks);
+  PendingOp(Kind k, ReduceOp r, int n_ranks, u64 ticket);
 
   const Kind kind;
   const ReduceOp red;
   const int n;
+  const u64 ticket;  // issue index on the group, shared by every rank
   int root = -1;  // broadcast only
 
   std::vector<const float*> src;
@@ -148,7 +128,8 @@ struct PendingOp {
   std::chrono::steady_clock::time_point complete_tp;
 };
 
-/// "all_reduce", "all_gather", ... — for diagnoses and fault reasons.
+/// "all_reduce", "all_gather", ..., "barrier", "split" — for diagnoses,
+/// fault reasons and flight-recorder captures.
 const char* op_label(PendingOp::Kind kind);
 
 /// Cache-line-padded per-rank progress clock (watchdog heartbeat). Padded
@@ -166,7 +147,6 @@ struct CommGroup {
   ~CommGroup();  // stops the watchdog monitor, if one was started
 
   const int size;
-  LeaderBarrier barrier;
 
   // Identity of each group rank in the *root* communicator (the group
   // run_ranks / make_group created). Subgroups map through their parent,
@@ -201,23 +181,20 @@ struct CommGroup {
   // Watchdog monitor (comm/watchdog.hpp), started at most once per group.
   std::unique_ptr<WatchdogState> watchdog;
 
-  // split() publication slots + registry: (split sequence number, color) ->
-  // subgroup + the member world-ranks in key order.
-  std::vector<int> colors;
-  std::vector<int> keys;
+  // split() registry: (the split op's ticket, color) -> subgroup. The
+  // first rank of a color to resolve its split creates the entry; abort,
+  // the watchdog and injector installs recurse through it.
   std::mutex split_mu;
-  u64 split_seq = 0;
   std::map<std::pair<u64, int>, std::shared_ptr<CommGroup>> subgroups;
-  std::map<std::pair<u64, int>, std::vector<int>> members;
 };
 
 /// Recursively poisons `g` and every subgroup split from it: in-flight ops
-/// complete with Aborted, barriers release, future posts throw. Idempotent.
+/// complete with Aborted, future posts throw. Idempotent.
 /// Exposed for the watchdog; user code goes through Communicator::abort.
 /// `flight_kind` labels the flight-recorder capture this abort freezes
 /// when the recorder is enabled ("watchdog_abort" / "fault_kill" /
 /// "comm_abort"); the first abort of a cascade wins the capture and
-/// freezes the in-flight op + barrier state *before* poisoning it.
+/// freezes the in-flight op state *before* poisoning it.
 void abort_group(CommGroup& g, const std::string& reason,
                  const char* flight_kind = "comm_abort");
 
@@ -247,13 +224,6 @@ class CollectiveHandle {
   /// wait() the handle is empty.
   void wait(CommStats* stats = nullptr);
 
-  /// Bounded wait: true (and the handle empties, rethrowing any op error)
-  /// if the collective completed within `seconds`; false if it is still in
-  /// flight — the handle stays pending and may be waited again. A per-op
-  /// deadline for callers that want to poll or time out without a
-  /// group-wide watchdog.
-  bool wait_for(double seconds, CommStats* stats = nullptr);
-
  private:
   friend class Communicator;
   CollectiveHandle(std::shared_ptr<detail::PendingOp> op,
@@ -278,8 +248,9 @@ class Communicator {
   /// and FaultPlan events are expressed in global ranks.
   int global_rank() const;
 
-  /// Blocks until every rank of this communicator has arrived. Throws
-  /// Aborted (without deadlocking) if the group is aborted while waiting.
+  /// Blocks until every rank of this communicator has arrived: a
+  /// zero-payload op on the collective ticket sequence. Throws Aborted
+  /// (without deadlocking) if the group is aborted while waiting.
   void barrier();
 
   // ----- nonblocking collectives -----------------------------------------
@@ -311,16 +282,16 @@ class Communicator {
 
   /// Collective split: ranks with equal `color` form a new communicator;
   /// ranks are ordered by `key` (ties broken by old rank). Every rank of
-  /// this communicator must call split with some color. Subgroups inherit
-  /// the parent's fault injector and global-rank identities.
+  /// this communicator must call split with some color. `color` and `key`
+  /// travel as floats, so each must lie in [-2^24, 2^24]. Subgroups
+  /// inherit the parent's fault injector and global-rank identities.
   Communicator split(int color, int key);
 
   /// Fatal-error propagation (the fault-injection / crash path): poisons
   /// this communicator and, recursively, every sub-communicator created
-  /// from it via split(). Every blocked rendezvous — in-flight collective
-  /// waits and plain barrier() calls alike — completes with an `Aborted`
-  /// error instead of deadlocking on a rank that died, and every
-  /// subsequent post or barrier throws immediately. Aborting is idempotent
+  /// from it via split(). Every blocked rendezvous (collective, barrier or
+  /// split) completes with an `Aborted` error instead of deadlocking on a
+  /// rank that died, and every subsequent one throws immediately. Aborting is idempotent
   /// and may be called from any rank or thread. `flight_kind` labels the
   /// postmortem capture when the flight recorder is enabled.
   void abort(const std::string& reason,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -12,6 +11,12 @@
 namespace geofm::comm {
 namespace detail {
 namespace {
+
+// Scan result: which global ranks stalled, and the human diagnosis.
+struct StallDiagnosis {
+  std::vector<int> suspects;
+  std::string message;
+};
 
 // "(last heartbeat 2.1s ago)" from the rank's post-time clock; empty when
 // the rank never posted (nothing to age against).
@@ -33,15 +38,15 @@ std::string heartbeat_note(const CommGroup& g, int group_rank,
 void scan_group(CommGroup& g, double deadline,
                 std::chrono::steady_clock::time_point now,
                 StallDiagnosis& out) {
-  std::vector<std::pair<u64, std::shared_ptr<PendingOp>>> ops;
+  std::vector<std::shared_ptr<PendingOp>> ops;
   {
     std::lock_guard<std::mutex> lk(g.async_mu);
     if (g.aborted) return;
     ops.reserve(g.inflight.size());
-    for (auto& [ticket, op] : g.inflight) ops.emplace_back(ticket, op);
+    for (auto& [ticket, op] : g.inflight) ops.push_back(op);
   }
   std::ostringstream msg;
-  for (auto& [ticket, op] : ops) {
+  for (auto& op : ops) {
     std::lock_guard<std::mutex> lk(op->mu);
     if (op->complete || op->arrived == 0 || op->arrived >= op->n) continue;
     const double age =
@@ -52,22 +57,9 @@ void scan_group(CommGroup& g, double deadline,
       const int gr = g.global_ranks[static_cast<size_t>(r)];
       out.suspects.push_back(gr);
       msg << (msg.tellp() > 0 ? "; " : "") << "rank " << gr << " stalled in "
-          << op_label(op->kind) << " ticket " << ticket << " for ";
+          << op_label(op->kind) << " ticket " << op->ticket << " for ";
       char sec[32];
       std::snprintf(sec, sizeof(sec), "%.1fs", age);
-      msg << sec << heartbeat_note(g, r, now);
-    }
-  }
-  const LeaderBarrier::Status bs = g.barrier.status();
-  if (bs.arrived > 0 && bs.arrived < g.size &&
-      bs.oldest_wait_seconds > deadline) {
-    for (int r : bs.missing) {
-      const int gr = g.global_ranks[static_cast<size_t>(r)];
-      out.suspects.push_back(gr);
-      msg << (msg.tellp() > 0 ? "; " : "") << "rank " << gr
-          << " stalled in barrier for ";
-      char sec[32];
-      std::snprintf(sec, sizeof(sec), "%.1fs", bs.oldest_wait_seconds);
       msg << sec << heartbeat_note(g, r, now);
     }
   }
@@ -119,15 +111,6 @@ void watchdog_loop(CommGroup& g) {
 }
 
 }  // namespace
-
-StallDiagnosis scan_for_stalls(CommGroup& g, double deadline_seconds) {
-  StallDiagnosis d;
-  scan_group(g, deadline_seconds, std::chrono::steady_clock::now(), d);
-  std::sort(d.suspects.begin(), d.suspects.end());
-  d.suspects.erase(std::unique(d.suspects.begin(), d.suspects.end()),
-                   d.suspects.end());
-  return d;
-}
 
 void stop_watchdog(CommGroup& g) {
   if (!g.watchdog) return;

@@ -2,10 +2,10 @@
 // deadlines.
 //
 // `Communicator::start_watchdog` launches one background monitor thread
-// per root group. Every poll it walks the group's in-flight collectives,
-// its barrier, and (recursively) every sub-communicator, looking for a
-// rendezvous some ranks joined more than `deadline_seconds` ago that other
-// ranks still have not reached. The ranks that are missing are the
+// per root group. Every poll it walks the group's in-flight ops (the
+// collectives, barriers and splits alike) and, recursively, every
+// sub-communicator's, looking for an op some ranks joined more than
+// `deadline_seconds` ago that other ranks still have not reached. The ranks that are missing are the
 // suspects: the monitor records them on the root group and aborts the
 // whole group with a diagnosis like
 //
@@ -53,16 +53,6 @@ struct WatchdogState {
   bool stop = false;
   std::thread monitor;
 };
-
-/// Scan result: which global ranks stalled, and the human diagnosis.
-struct StallDiagnosis {
-  std::vector<int> suspects;
-  std::string message;
-};
-
-/// Walks `g` and its subgroups for rendezvous older than
-/// `deadline_seconds` with missing ranks (exposed for tests).
-StallDiagnosis scan_for_stalls(CommGroup& g, double deadline_seconds);
 
 }  // namespace detail
 

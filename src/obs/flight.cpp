@@ -196,19 +196,6 @@ std::string bundle_to_json(const PostmortemBundle& b) {
     out += '}';
   }
   out += b.inflight.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"barriers\": [";
-  for (size_t i = 0; i < b.barriers.size(); ++i) {
-    const BarrierState& br = b.barriers[i];
-    if (i > 0) out += ',';
-    out += "\n    {\"arrived\": " + std::to_string(br.arrived) +
-           ", \"size\": " + std::to_string(br.size) +
-           ", \"oldest_wait_seconds\": ";
-    append_double(out, br.oldest_wait_seconds);
-    out += ", \"missing\": ";
-    append_int_array(out, br.missing);
-    out += '}';
-  }
-  out += b.barriers.empty() ? "],\n" : "\n  ],\n";
   out += "  \"spans\": [";
   for (size_t i = 0; i < b.spans.size(); ++i) {
     const TraceEvent& e = b.spans[i];
@@ -288,8 +275,7 @@ u64 FlightRecorder::last_n_spans() const {
 void FlightRecorder::capture(const std::string& kind,
                              const std::string& diagnosis,
                              const std::vector<int>& suspects,
-                             std::vector<InflightOpState> inflight,
-                             std::vector<BarrierState> barriers) {
+                             std::vector<InflightOpState> inflight) {
   if (!enabled()) return;
   FlightState& s = state();
   {
@@ -304,7 +290,6 @@ void FlightRecorder::capture(const std::string& kind,
   b.suspects = suspects;
   b.captured_at_seconds = monotonic_seconds();
   b.inflight = std::move(inflight);
-  b.barriers = std::move(barriers);
   // Trace + metrics snapshots happen outside s.mu: both take their own
   // registry locks and neither can re-enter the flight recorder.
   b.spans = last_n_spans_per_rank(TraceRecorder::instance().snapshot(),
@@ -342,7 +327,7 @@ void FlightRecorder::capture(const std::string& kind,
 }
 
 void FlightRecorder::capture_now(const std::string& diagnosis) {
-  capture("explicit", diagnosis, {}, {}, {});
+  capture("explicit", diagnosis, {}, {});
 }
 
 bool FlightRecorder::has_capture() const {

@@ -5,8 +5,9 @@
 // human gets today; the trace/metric state that explains *why* is thrown
 // away with the aborted attempt. The flight recorder fixes that: the comm
 // abort path freezes the last-N trace spans per rank, a full
-// `MetricsRegistry` snapshot, and the in-flight collective/barrier state
-// (who joined, who is missing, how long the oldest waiter has been stuck)
+// `MetricsRegistry` snapshot, and the in-flight op state — collectives,
+// barriers and splits alike (who joined, who is missing, how long the
+// oldest waiter has been stuck)
 // into a pending capture, and `run_elastic` archives it as a **postmortem
 // bundle** — one JSON file per recovery attempt, written atomically
 // (temp + rename) next to the checkpoint directory.
@@ -33,24 +34,17 @@
 
 namespace geofm::obs {
 
-/// One collective frozen mid-rendezvous: which ranks had posted and which
-/// were missing when the group died. Ranks are global (root-communicator)
+/// One op frozen mid-rendezvous: which ranks had posted and which were
+/// missing when the group died. Ranks are global (root-communicator)
 /// ranks, matching watchdog diagnoses and fault plans.
 struct InflightOpState {
   u64 ticket = 0;
-  std::string op;  // all_reduce / all_gather / reduce_scatter / broadcast
+  std::string op;  // all_reduce / all_gather / reduce_scatter / broadcast /
+                   // barrier / split
   int arrived = 0;
   int size = 0;
   double age_seconds = 0;  // since the first rank joined
   std::vector<int> missing;
-};
-
-/// A barrier round frozen mid-rendezvous.
-struct BarrierState {
-  int arrived = 0;
-  int size = 0;
-  double oldest_wait_seconds = 0;
-  std::vector<int> missing;  // global ranks
 };
 
 /// Everything the recorder froze at abort time. `spans` holds the last-N
@@ -62,7 +56,6 @@ struct PostmortemBundle {
   std::vector<int> suspects;  // watchdog's stalled global ranks (may be empty)
   double captured_at_seconds = 0;  // monotonic_seconds() at capture
   std::vector<InflightOpState> inflight;
-  std::vector<BarrierState> barriers;
   std::vector<TraceEvent> spans;
   std::vector<MetricSample> metrics;
   // Archiver-supplied context (attempt index, world size, ...), emitted
@@ -88,12 +81,11 @@ class FlightRecorder {
   /// Freezes a capture. No-op unless enabled; no-op if a capture is
   /// already pending (first capture wins — the root cause of an abort
   /// cascade). Reads the global trace recorder and metrics registry; the
-  /// comm layer supplies the in-flight/barrier state it froze *before*
+  /// comm layer supplies the in-flight op state it froze *before*
   /// poisoning the ops.
   void capture(const std::string& kind, const std::string& diagnosis,
                const std::vector<int>& suspects,
-               std::vector<InflightOpState> inflight,
-               std::vector<BarrierState> barriers);
+               std::vector<InflightOpState> inflight);
 
   /// Explicit capture (kind "explicit") with no comm state — operator
   /// request or a supervisor synthesizing evidence for a failure that

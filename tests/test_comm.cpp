@@ -4,6 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -41,17 +45,6 @@ TEST_P(CollectivesAcrossRanks, AllReduceAvg) {
     c.all_reduce(t, ReduceOp::kAvg);
     const float expect = static_cast<float>(n - 1) / 2.f;
     for (i64 i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(t[i], expect);
-  });
-}
-
-TEST_P(CollectivesAcrossRanks, AllReduceMax) {
-  const int n = GetParam();
-  run_ranks(n, [&](Communicator& c) {
-    Tensor t = Tensor::from({static_cast<float>(c.rank()),
-                             static_cast<float>(-c.rank())});
-    c.all_reduce(t, ReduceOp::kMax);
-    EXPECT_FLOAT_EQ(t[0], static_cast<float>(n - 1));
-    EXPECT_FLOAT_EQ(t[1], 0.f);
   });
 }
 
@@ -452,22 +445,66 @@ TEST(Comm, AbortedPostsThrowTypedError) {
   });
 }
 
-TEST(Comm, WaitForTimesOutThenCompletes) {
-  run_ranks(2, [&](Communicator& c) {
-    Tensor t = Tensor::full({8}, static_cast<float>(c.rank() + 1));
-    if (c.rank() == 0) {
-      auto h = c.iall_reduce(t);
-      // Rank 1 holds back ~200ms, so a 10ms bounded wait must time out
-      // and leave the handle pending.
-      EXPECT_FALSE(h.wait_for(0.01));
-      EXPECT_TRUE(h.pending());
-      EXPECT_TRUE(h.wait_for(10.0));
-      EXPECT_FALSE(h.pending());
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      c.iall_reduce(t).wait();
+TEST(Comm, BarrierAgainstCollectiveRaisesMismatchOnEveryRank) {
+  // At ticket 0 rank 0 enters a barrier while rank 1 posts an all_reduce.
+  // Both are ops of one engine, so both must raise the matching error.
+  // The guard aborts the group if they have not returned within 20 s, so
+  // a hang fails the test (with "aborted" messages) instead of wedging it.
+  auto group = comm::make_group(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread guard([&] {
+    std::unique_lock<std::mutex> lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(20), [&] { return finished; })) {
+      Communicator(group, 0).abort("hang guard");
     }
-    EXPECT_FLOAT_EQ(t[0], 3.0f);
+  });
+  std::vector<std::exception_ptr> errors(2);
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < 2; ++r) {
+    ranks.emplace_back([&, r] {
+      Communicator c(group, r);
+      try {
+        if (r == 0) {
+          c.barrier();
+        } else {
+          Tensor t = Tensor::ones({4});
+          c.all_reduce(t);
+        }
+      } catch (...) {
+        errors[static_cast<size_t>(r)] = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : ranks) t.join();
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    finished = true;
+  }
+  cv.notify_all();
+  guard.join();
+  // Messages are read after the joins: both ranks rethrow one shared
+  // exception object, whose refcount lives in uninstrumented libstdc++.
+  for (const std::exception_ptr& err : errors) {
+    std::string what = "no error";
+    try {
+      if (err) std::rethrow_exception(err);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("mismatched collective calls"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(Comm, SplitRejectsColorOrKeyAFloatCannotCarry) {
+  run_ranks(2, [&](Communicator& c) {
+    EXPECT_THROW(c.split(0, (1 << 24) + 1), Error);
+    EXPECT_THROW(c.split(-(1 << 24) - 1, 0), Error);
+    // The rejected calls posted nothing: a valid split still matches.
+    Communicator sub = c.split(0, 1 << 24);
+    EXPECT_EQ(sub.rank(), c.rank());
   });
 }
 
@@ -589,6 +626,48 @@ TEST(Watchdog, ScanCoversSubcommunicators) {
   });
   EXPECT_EQ(aborted_ranks.load(), 4);
   EXPECT_NE(reason.find("rank 3"), std::string::npos);
+}
+
+TEST(Watchdog, NamesGlobalRankStalledBeforeSplit) {
+  // World ranks 2 and 3 form one half; world rank 3 stalls before the
+  // half's own split. The diagnosis must name the world rank, not the
+  // subgroup rank (1).
+  std::atomic<int> aborted_ranks{0};
+  std::vector<int> suspects;
+  std::string reason;
+  std::mutex mu;
+  run_ranks(4, [&](Communicator& c) {
+    if (c.rank() == 0) {
+      comm::WatchdogOptions opts;
+      opts.deadline_seconds = 0.3;
+      c.start_watchdog(opts);
+    }
+    Communicator half = c.split(c.rank() / 2, c.rank());
+    if (c.rank() < 2) {
+      half.split(0, half.rank());  // the healthy half completes its split
+      return;
+    }
+    try {
+      if (c.rank() == 3) {
+        while (!c.aborted()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+      }
+      half.split(0, half.rank());
+      FAIL() << "rank " << c.rank() << " completed despite the stall";
+    } catch (const comm::Aborted&) {
+      ++aborted_ranks;
+      std::lock_guard<std::mutex> lk(mu);
+      if (suspects.empty()) {
+        suspects = c.abort_suspects();
+        reason = c.abort_reason();
+      }
+    }
+  });
+  EXPECT_EQ(aborted_ranks.load(), 2);
+  EXPECT_EQ(suspects, (std::vector<int>{3}));
+  EXPECT_NE(reason.find("rank 3 stalled in split ticket"), std::string::npos)
+      << reason;
 }
 
 // ----- fault injection -------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "comm/communicator.hpp"
 #include "comm/fault.hpp"
+#include "comm/watchdog.hpp"
 #include "data/datasets.hpp"
 #include "models/mae.hpp"
 #include "obs/flight.hpp"
@@ -400,6 +401,42 @@ TEST(Postmortem, FirstCaptureWinsAndLastNSpansPerRankCapped) {
 
   flight.discard();
   EXPECT_FALSE(flight.has_capture());
+}
+
+TEST(Postmortem, BarrierStallFreezesMissingRankAsInflightOp) {
+  // A barrier is an ordinary op of the collective engine, so the abort
+  // path freezes a rank missing from one like any collective: an
+  // `inflight` entry with "op": "barrier" and the world rank missing.
+  FlightSession flight_session;
+  auto& flight = FlightRecorder::instance();
+  flight.discard();
+  flight.enable();
+  run_ranks(3, [&](Communicator& c) {
+    if (c.rank() == 0) {
+      comm::WatchdogOptions opts;
+      opts.deadline_seconds = 0.3;
+      c.start_watchdog(opts);
+    }
+    if (c.rank() == 2) {
+      while (!c.aborted()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+    EXPECT_THROW(c.barrier(), comm::Aborted);
+  });
+
+  PostmortemBundle b;
+  ASSERT_TRUE(flight.peek(b));
+  EXPECT_EQ(b.kind, "watchdog_abort");
+  EXPECT_EQ(b.suspects, (std::vector<int>{2}));
+  ASSERT_EQ(b.inflight.size(), 1u);
+  EXPECT_EQ(b.inflight[0].op, "barrier");
+  EXPECT_EQ(b.inflight[0].arrived, 2);
+  EXPECT_EQ(b.inflight[0].size, 3);
+  EXPECT_EQ(b.inflight[0].missing, (std::vector<int>{2}));
+  const std::string text = obs::bundle_to_json(b);
+  expect_valid_json_structure(text);
+  EXPECT_NE(text.find("\"op\": \"barrier\""), std::string::npos);
 }
 
 // ----- telemetry sampler -----------------------------------------------------
